@@ -193,12 +193,12 @@ let prefix_policy =
 let prefix_headers = Traffic.headers_for (Prng.create (seed + 3)) prefix_policy 256
 
 let index_kernel =
-  let idx = Indexed.of_classifier prefix_policy in
+  let idx = Tss.of_classifier prefix_policy in
   let i = ref 0 in
   Test.make ~name:"substrate: indexed lookup (2k prefixes)"
     (Staged.stage (fun () ->
          i := (!i + 1) land 255;
-         ignore (Indexed.first_match idx prefix_headers.(!i))))
+         ignore (Tss.find idx prefix_headers.(!i))))
 
 let linear_kernel =
   let i = ref 0 in

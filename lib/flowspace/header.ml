@@ -1,6 +1,7 @@
 type t = {
   schema : Schema.t;
   values : int64 array;
+  lanes : int array;
   key_lo : int64;
   key_hi : int64;
   key_exact : bool;
@@ -17,40 +18,52 @@ let mix64 h v =
   let h = Int64.mul (Int64.logxor h (Int64.shift_right_logical h 27)) 0x94d049bb133111ebL in
   Int64.logxor h (Int64.shift_right_logical h 31)
 
-(* Int-pack the header into two 63-bit lanes, little-endian by schema
-   position.  For schemas up to 126 total bits (the ACL 5-tuple's 104
-   included) the packing is injective — two headers of the same schema are
-   equal iff their lanes are — so the per-packet paths (cachesim interning,
-   flow-record cache, monitor) compare two ints instead of walking the
-   values array or building a string.  Wider schemas fall back to using
-   the lanes as a mixed fingerprint and comparing values on collision. *)
-let pack schema values =
-  let lo = ref 0L and hi = ref 0L and used = ref 0 in
-  let exact = Schema.total_bits schema <= 126 in
-  if exact then
-    Array.iteri
-      (fun i v ->
-        let bits = Schema.field_bits schema i in
-        let pos = !used in
-        (if pos < 63 then begin
-           lo := Int64.logor !lo (truncate 63 (Int64.shift_left v pos));
-           let spill = pos + bits - 63 in
-           if spill > 0 then
-             hi := Int64.logor !hi (Int64.shift_right_logical v (bits - spill))
-         end
-         else hi := Int64.logor !hi (Int64.shift_left v (pos - 63)));
-        used := pos + bits)
-      values
-  else
-    Array.iter
-      (fun v ->
-        lo := mix64 !lo v;
-        hi := mix64 (Int64.logxor !hi 0x9e3779b97f4a7c15L) !lo)
-      values;
-  let khash =
-    Int64.to_int (mix64 (mix64 0x9e3779b97f4a7c15L !lo) !hi) land max_int
+let lane_bits = 63
+let lane_count schema = max 1 ((Schema.total_bits schema + lane_bits - 1) / lane_bits)
+
+(* Concatenate the fields, little-endian by schema position, into 63-bit
+   int lanes: field [i] starts at bit [sum of earlier widths], and a field
+   straddling a lane boundary spills its high bits into the next lane.
+   The layout is exact for any schema, so the same packing serves headers
+   and predicate masks/values (tuple-space search probes with one [land]
+   per lane). *)
+let pack_lanes schema values =
+  let lanes = Array.make (lane_count schema) 0 in
+  let pos = ref 0 in
+  Array.iteri
+    (fun i v ->
+      let v = Int64.to_int v and lane = !pos / lane_bits and off = !pos mod lane_bits in
+      lanes.(lane) <- lanes.(lane) lor (v lsl off);
+      let bits = Schema.field_bits schema i in
+      if off + bits > lane_bits then
+        lanes.(lane + 1) <- lanes.(lane + 1) lor (v lsr (lane_bits - off));
+      pos := !pos + bits)
+    values;
+  lanes
+
+let lane64 lanes i =
+  if i < Array.length lanes then Int64.logand (Int64.of_int lanes.(i)) Int64.max_int
+  else 0L
+
+(* Schemas up to two lanes (126 bits, the ACL 5-tuple's 104 included)
+   expose lanes 0 and 1 as the injective [(key_lo, key_hi)] pair, so the
+   per-packet paths (cachesim interning, flow-record cache, monitor)
+   compare two ints instead of walking the values array.  Wider schemas
+   fold their values into a mixed fingerprint instead and compare values
+   on collision. *)
+let key_of schema values lanes =
+  let exact = Schema.total_bits schema <= 2 * lane_bits in
+  let lo, hi =
+    if exact then (lane64 lanes 0, lane64 lanes 1)
+    else
+      Array.fold_left
+        (fun (lo, hi) v ->
+          let lo = mix64 lo v in
+          (lo, mix64 (Int64.logxor hi 0x9e3779b97f4a7c15L) lo))
+        (0L, 0L) values
   in
-  (!lo, !hi, exact, khash)
+  let khash = Int64.to_int (mix64 (mix64 0x9e3779b97f4a7c15L lo) hi) land max_int in
+  (lo, hi, exact, khash)
 
 let make schema values =
   if Array.length values <> Schema.arity schema then
@@ -58,8 +71,9 @@ let make schema values =
   let values =
     Array.mapi (fun i v -> truncate (Schema.field_bits schema i) v) values
   in
-  let key_lo, key_hi, key_exact, khash = pack schema values in
-  { schema; values; key_lo; key_hi; key_exact; khash }
+  let lanes = pack_lanes schema values in
+  let key_lo, key_hi, key_exact, khash = key_of schema values lanes in
+  { schema; values; lanes; key_lo; key_hi; key_exact; khash }
 
 let of_fields schema assoc =
   let values =
@@ -75,6 +89,7 @@ let schema t = t.schema
 let field t i = t.values.(i)
 let get t name = t.values.(Schema.index t.schema name)
 let values t = Array.copy t.values
+let lanes t = t.lanes
 let key_lo t = t.key_lo
 let key_hi t = t.key_hi
 let key_exact t = t.key_exact

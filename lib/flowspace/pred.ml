@@ -73,12 +73,17 @@ let compare a b =
 
 let hash t = Hashtbl.hash (Array.map Ternary.hash t.fields)
 
+(* A loop, not a local recursive function: this runs per packet (hit
+   attribution, region tests, linear classifier scans) and a closure
+   over [t] and [h] would allocate on every call. *)
 let matches t h =
-  let rec go i =
-    i >= Array.length t.fields
-    || (Ternary.matches t.fields.(i) (Header.field h i) && go (i + 1))
-  in
-  go 0
+  let fields = t.fields in
+  let n = Array.length fields in
+  let i = ref 0 in
+  while !i < n && Ternary.matches (Array.unsafe_get fields !i) (Header.field h !i) do
+    incr i
+  done;
+  !i = n
 
 let is_any t = Array.for_all Ternary.is_any t.fields
 

@@ -50,27 +50,32 @@ type cache_meta = {
 let meta_primary_origin m =
   match m.parts with p :: _ -> p.part_origin | [] -> -1
 
+(* An authority table as the packet path sees it: the partition, its
+   region packed for an allocation-free membership test, and a
+   tuple-space index over its clipped rules. *)
+type authority = { part : Partitioner.partition; region : Tss.pattern; index : Rule.t Tss.t }
+
 type t = {
   id : int;
   cache : Tcam.t;
-  mutable authority : (Partitioner.partition * Indexed.t) list;
-      (* each partition table carries a tuple-space index for the hot path *)
+  mutable authority : authority list; (* most recently installed first *)
   mutable partition_bank : Rule.t list; (* disjoint regions; order irrelevant *)
-  mutable partition_index : Indexed.t option;
+  mutable partition_index : Rule.t Tss.t;
       (* tuple-space index over the committed bank, rebuilt on each
          (rare) control-plane replacement so the per-packet partition
-         scan is sub-linear; [None] when the bank is empty or cannot be
-         indexed (duplicate ids from a confused controller) — then the
-         lookup falls back to the linear scan *)
+         scan is sub-linear.  Rules enter in bank order, so duplicates
+         of one rule from a confused controller (same id and priority)
+         resolve to the first copy, as a scan of the bank would. *)
   cache_origin : (int, cache_meta) Hashtbl.t;
       (* cache rule id -> provenance: serving partition id (-1 when the
          installer didn't know it — degraded exact-match fallbacks),
          entry kind, and the origin set threaded from policy rule through
          authority table to installed cache entry *)
-  origin_cache_hits : (int, int64) Hashtbl.t; (* origin rule id -> cache-bank packets *)
-  origin_auth_hits : (int, int64) Hashtbl.t; (* origin rule id -> authority-bank packets *)
-  partition_hits : (int, int64) Hashtbl.t; (* partition id -> misses served *)
-  pid_cache_hits : (int, int64) Hashtbl.t;
+  (* Hit ledgers, counted in place (see [bump]): *)
+  origin_cache_hits : (int, int ref) Hashtbl.t; (* origin rule id -> cache-bank packets *)
+  origin_auth_hits : (int, int ref) Hashtbl.t; (* origin rule id -> authority-bank packets *)
+  partition_hits : (int, int ref) Hashtbl.t; (* partition id -> misses served *)
+  pid_cache_hits : (int, int ref) Hashtbl.t;
       (* partition id -> cache-bank packets absorbed by entries spliced
          from that partition — the cache-efficacy side of the ledger
          whose miss side is [partition_hits] at the authority *)
@@ -89,11 +94,11 @@ type t = {
       (* highest master epoch seen; 0 = unfenced (single controller) *)
   mutable stale_rejected : int; (* frames refused for carrying an old epoch *)
   mutable stale_accepted : int; (* must stay 0: the fencing invariant *)
-  mutable cache_hits : int64;
-  mutable authority_hits : int64;
-  mutable tunnelled : int64;
-  mutable unmatched : int64;
-  mutable misconfigured : int64;
+  mutable cache_hits : int;
+  mutable authority_hits : int;
+  mutable tunnelled : int;
+  mutable unmatched : int;
+  mutable misconfigured : int;
   tele : tele;
 }
 
@@ -106,7 +111,7 @@ let create ~id ~cache_capacity =
     cache = Tcam.create ~capacity:cache_capacity;
     authority = [];
     partition_bank = [];
-    partition_index = None;
+    partition_index = Tss.create ();
     cache_origin = Hashtbl.create 64;
     origin_cache_hits = Hashtbl.create 64;
     origin_auth_hits = Hashtbl.create 64;
@@ -121,11 +126,11 @@ let create ~id ~cache_capacity =
     epoch = 0;
     stale_rejected = 0;
     stale_accepted = 0;
-    cache_hits = 0L;
-    authority_hits = 0L;
-    tunnelled = 0L;
-    unmatched = 0L;
-    misconfigured = 0L;
+    cache_hits = 0;
+    authority_hits = 0;
+    tunnelled = 0;
+    unmatched = 0;
+    misconfigured = 0;
     tele =
       {
         m_cache_hits = Telemetry.counter ~labels "switch_cache_hits";
@@ -146,13 +151,9 @@ let sync_occupancy t = Telemetry.set t.tele.m_cache_occupancy (float_of_int (Tca
 let id t = t.id
 
 let rebuild_partition_index t =
-  t.partition_index <-
-    (match t.partition_bank with
-    | [] -> None
-    | r :: _ -> (
-        match Classifier.create (Pred.schema r.Rule.pred) t.partition_bank with
-        | c -> Some (Indexed.of_classifier c)
-        | exception Invalid_argument _ -> None))
+  let index = Tss.create () in
+  List.iter (fun r -> Tss.add index r r) t.partition_bank;
+  t.partition_index <- index
 
 (* Internal wholesale replacement: what the hardware does with whatever
    the control channel delivered.  Rules with a non-tunnel action stay
@@ -172,20 +173,23 @@ let install_partition_rules t rules =
     rules;
   set_partition_bank t rules
 
-let install_authority t (p : Partitioner.partition) =
-  t.authority <-
-    (p, Indexed.of_classifier p.table)
-    :: List.filter (fun ((q : Partitioner.partition), _) -> q.pid <> p.pid) t.authority
-
 let drop_authority t pid =
-  t.authority <- List.filter (fun ((q : Partitioner.partition), _) -> q.pid <> pid) t.authority
+  t.authority <- List.filter (fun a -> a.part.Partitioner.pid <> pid) t.authority
 
-let authority_partitions t = List.map fst t.authority
+let install_authority t (p : Partitioner.partition) =
+  drop_authority t p.pid;
+  t.authority <-
+    { part = p; region = Tss.pattern p.region; index = Tss.of_classifier p.table } :: t.authority
+
+let authority_partitions t = List.map (fun a -> a.part) t.authority
 let partition_rules t = t.partition_bank
 
-let bump tbl key n =
-  let prev = Option.value ~default:0L (Hashtbl.find_opt tbl key) in
-  Hashtbl.replace tbl key (Int64.add prev n)
+(* Ledger entries are counted in place: after a key's first packet, a
+   bump is a lookup and an increment, with nothing allocated. *)
+let bump tbl key =
+  match Hashtbl.find tbl key with
+  | r -> incr r
+  | exception Not_found -> Hashtbl.add tbl key (ref 1)
 
 let notify_removed t ~now reason (e : Tcam.entry) =
   let cookie =
@@ -199,8 +203,8 @@ let notify_removed t ~now reason (e : Tcam.entry) =
         Message.removed_rule = e.Tcam.rule.Rule.id;
         cookie;
         reason;
-        final_packets = e.Tcam.packets;
-        final_bytes = e.Tcam.bytes;
+        final_packets = Int64.of_int e.Tcam.packets;
+        final_bytes = Int64.of_int e.Tcam.bytes;
         lifetime = now -. e.Tcam.installed_at;
       }
     :: t.notifications
@@ -321,8 +325,8 @@ let dispatch_control t ~now ~xid msg =
           (fun (e : Tcam.entry) ->
             {
               Message.rule_id = e.rule.Rule.id;
-              packets = e.Tcam.packets;
-              bytes = e.Tcam.bytes;
+              packets = Int64.of_int e.Tcam.packets;
+              bytes = Int64.of_int e.Tcam.bytes;
               duration = now -. e.Tcam.installed_at;
             })
           (Tcam.entries t.cache)
@@ -381,19 +385,16 @@ let handle_control ?(xid = 0) ?(epoch = 0) t ~now msg =
         responses
 
 (* Partition regions are disjoint, so at most one rule matches; the
-   index turns the old whole-bank scan into a handful of hash probes. *)
-let partition_lookup t h =
-  match t.partition_index with
-  | Some idx -> Indexed.first_match idx h
-  | None -> List.find_opt (fun (r : Rule.t) -> Rule.matches r h) t.partition_bank
+   index turns a whole-bank scan into a handful of hash probes. *)
+let partition_lookup t h = Tss.find t.partition_index h
 
-let authority_lookup t h =
-  List.find_map
-    (fun ((p : Partitioner.partition), idx) ->
-      if Pred.matches p.region h then
-        Option.map (fun r -> (p, r)) (Indexed.first_match idx h)
-      else None)
-    t.authority
+(* The first table, most recent install first, whose region holds the
+   header and which has a rule for it. *)
+let rec authority_lookup h = function
+  | [] -> None
+  | a :: rest -> (
+      if not (Tss.covers a.region h) then authority_lookup h rest
+      else match Tss.find a.index h with Some _ as r -> r | None -> authority_lookup h rest)
 
 (* Which origin's region did a packet hitting a (possibly merged) cache
    entry actually fall in?  Single-part metas — the overwhelmingly common
@@ -409,55 +410,59 @@ let attribute_hit m h =
       | Some q -> q.part_origin
       | None -> p.part_origin)
 
+(* Refresh every cover-set member but the one hit (a top-level loop: a
+   closure here would allocate on every cover hit). *)
+let rec touch_members cache ~now ~hit = function
+  | [] -> ()
+  | id :: rest ->
+      if id <> hit then ignore (Tcam.touch cache ~now id);
+      touch_members cache ~now ~hit rest
+
 let process t ~now h =
   match Tcam.lookup t.cache ~now h with
   | Some r ->
-      t.cache_hits <- Int64.add t.cache_hits 1L;
+      t.cache_hits <- t.cache_hits + 1;
       Telemetry.incr t.tele.m_cache_hits;
-      (match Hashtbl.find_opt t.cache_origin r.Rule.id with
-      | Some m ->
+      (match Hashtbl.find t.cache_origin r.Rule.id with
+      | m ->
           let origin = attribute_hit m h in
-          bump t.origin_cache_hits origin 1L;
-          if m.pid >= 0 then bump t.pid_cache_hits m.pid 1L;
+          bump t.origin_cache_hits origin;
+          if m.pid >= 0 then bump t.pid_cache_hits m.pid;
           (* a cover set lives and dies as one unit: traffic absorbed by
              any member keeps the whole group's idle deadlines fresh, or
              an unhit high-rank dependency would expire and take the
              group (and its hit stream) with it *)
           (match m.group with
-          | Some (_, members) ->
-              List.iter
-                (fun id ->
-                  if id <> r.Rule.id then ignore (Tcam.touch t.cache ~now id))
-                members
+          | Some (_, members) -> touch_members t.cache ~now ~hit:r.Rule.id members
           | None -> ());
           Ptrace.emit ~at:now Ptrace.Cache_hit ~switch:t.id ~rule:r.Rule.id
             ~aux:(Ptrace.pack_provenance ~origin ~pid:m.pid)
-      | None ->
+      | exception Not_found ->
           Ptrace.emit ~at:now Ptrace.Cache_hit ~switch:t.id ~rule:r.Rule.id ~aux:0);
       Local (r.Rule.action, Cache_bank)
   | None -> (
-      match authority_lookup t h with
-      | Some (_, r) ->
-          t.authority_hits <- Int64.add t.authority_hits 1L;
+      match authority_lookup h t.authority with
+      | Some r ->
+          t.authority_hits <- t.authority_hits + 1;
           Telemetry.incr t.tele.m_authority_hits;
-          bump t.origin_auth_hits r.Rule.id 1L;
+          bump t.origin_auth_hits r.Rule.id;
           Ptrace.emit ~at:now Ptrace.Authority_hit ~switch:t.id ~rule:r.Rule.id ~aux:0;
           Local (r.Rule.action, Authority_bank)
       | None -> (
           match partition_lookup t h with
           | Some { Rule.action = Action.To_authority a; _ } ->
-              t.tunnelled <- Int64.add t.tunnelled 1L;
+              t.tunnelled <- t.tunnelled + 1;
               Telemetry.incr t.tele.m_tunnelled;
               Ptrace.emit ~at:now Ptrace.Miss ~switch:t.id ~rule:(-1) ~aux:a;
               Tunnel a
           | Some _ ->
               (* a partition rule claimed the header but cannot tunnel
                  it: a misconfigured bank, not uncovered flowspace *)
-              t.misconfigured <- Int64.add t.misconfigured 1L;
+              t.misconfigured <- t.misconfigured + 1;
               Telemetry.incr t.tele.m_misconfigured;
               Misconfigured
           | None ->
-              t.unmatched <- Int64.add t.unmatched 1L;
+              t.unmatched <- t.unmatched + 1;
               Telemetry.incr t.tele.m_unmatched;
               Unmatched))
 
@@ -475,23 +480,19 @@ let exact_pred schema h =
          Ternary.exact ~width:(Schema.field_bits schema i) (Header.field h i)))
 
 let serve_miss ?(mode = `Spliced) ?cover_limit t ~now h =
-  match
-    List.find_opt
-      (fun ((p : Partitioner.partition), _) -> Pred.matches p.region h)
-      t.authority
-  with
+  match List.find_opt (fun a -> Tss.covers a.region h) t.authority with
   | None -> None
-  | Some (p, _) -> (
+  | Some { part = p; _ } -> (
       match Splice.for_header p.table h with
       | None -> None
       | Some piece ->
           (* the authority switch forwards this packet itself: count it
              against the origin rule like any other hit, and against the
              partition for load rebalancing *)
-          t.authority_hits <- Int64.add t.authority_hits 1L;
+          t.authority_hits <- t.authority_hits + 1;
           Telemetry.incr t.tele.m_authority_hits;
-          bump t.origin_auth_hits piece.origin.Rule.id 1L;
-          bump t.partition_hits p.Partitioner.pid 1L;
+          bump t.origin_auth_hits piece.origin.Rule.id;
+          bump t.partition_hits p.Partitioner.pid;
           Ptrace.emit ~at:now Ptrace.Authority_serve ~switch:t.id
             ~rule:piece.origin.Rule.id ~aux:p.Partitioner.pid;
           let next_id () =
@@ -713,7 +714,7 @@ let reset t =
   Tcam.clear t.cache;
   t.authority <- [];
   t.partition_bank <- [];
-  t.partition_index <- None;
+  t.partition_index <- Tss.create ();
   t.pending_partition <- [];
   t.partition_committed <- false;
   Hashtbl.reset t.cache_origin;
@@ -727,11 +728,11 @@ let reset t =
   t.stale_rejected <- 0;
   t.stale_accepted <- 0;
   t.notifications <- [];
-  t.cache_hits <- 0L;
-  t.authority_hits <- 0L;
-  t.tunnelled <- 0L;
-  t.unmatched <- 0L;
-  t.misconfigured <- 0L;
+  t.cache_hits <- 0;
+  t.authority_hits <- 0;
+  t.tunnelled <- 0;
+  t.unmatched <- 0;
+  t.misconfigured <- 0;
   sync_occupancy t
 
 let fresh_cache_id t =
@@ -764,7 +765,7 @@ let provenance_of_cache_rule t cid =
   Option.map (fun m -> (meta_primary_origin m, m.pid)) (Hashtbl.find_opt t.cache_origin cid)
 
 let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  Hashtbl.fold (fun k v acc -> (k, Int64.of_int !v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let partition_load t = sorted_bindings t.partition_hits
@@ -772,11 +773,11 @@ let cache_load t = sorted_bindings t.pid_cache_hits
 
 let origin_breakdown t =
   let merged = Hashtbl.create 64 in
-  Hashtbl.iter (fun k v -> Hashtbl.replace merged k (v, 0L)) t.origin_cache_hits;
+  Hashtbl.iter (fun k v -> Hashtbl.replace merged k (Int64.of_int !v, 0L)) t.origin_cache_hits;
   Hashtbl.iter
     (fun k v ->
       let c = match Hashtbl.find_opt merged k with Some (c, _) -> c | None -> 0L in
-      Hashtbl.replace merged k (c, v))
+      Hashtbl.replace merged k (c, Int64.of_int !v))
     t.origin_auth_hits;
   Hashtbl.fold (fun k (c, a) acc -> (k, c, a) :: acc) merged []
   |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
@@ -786,19 +787,19 @@ let aggregate_counters t =
 
 let stats t =
   {
-    cache_hits = t.cache_hits;
-    authority_hits = t.authority_hits;
-    tunnelled = t.tunnelled;
-    unmatched = t.unmatched;
-    misconfigured = t.misconfigured;
+    cache_hits = Int64.of_int t.cache_hits;
+    authority_hits = Int64.of_int t.authority_hits;
+    tunnelled = Int64.of_int t.tunnelled;
+    unmatched = Int64.of_int t.unmatched;
+    misconfigured = Int64.of_int t.misconfigured;
   }
 
 let reset_stats t =
-  t.cache_hits <- 0L;
-  t.authority_hits <- 0L;
-  t.tunnelled <- 0L;
-  t.unmatched <- 0L;
-  t.misconfigured <- 0L;
+  t.cache_hits <- 0;
+  t.authority_hits <- 0;
+  t.tunnelled <- 0;
+  t.unmatched <- 0;
+  t.misconfigured <- 0;
   Hashtbl.reset t.origin_cache_hits;
   Hashtbl.reset t.origin_auth_hits;
   Hashtbl.reset t.partition_hits;

@@ -10,19 +10,22 @@ type entry = {
   rule : Rule.t;
   installed_at : float;
   mutable last_hit : float;
-  mutable packets : int64;
-  mutable bytes : int64;
+  mutable packets : int;
+  mutable bytes : int;
   idle_timeout : float option;
   hard_timeout : float option;
 }
 
 (* Internal wrapper: the public entry plus the intrusive LRU links and
-   the liveness bit the lazy expiry heap checks.  A node leaves every
-   structure through [detach]; heap records outlive it and are skipped. *)
+   the liveness bit the lazy expiry heap checks.  [hit] is the entry's
+   rule pre-wrapped in [Some], so a lookup hit returns without
+   allocating.  A node leaves every structure through [detach]; heap
+   records outlive it and are skipped. *)
 type node = {
   e : entry;
-  mutable prev : node option;  (* towards the LRU end *)
-  mutable next : node option;  (* towards the MRU end *)
+  hit : Rule.t option;
+  mutable prev : node;  (* towards the LRU end *)
+  mutable next : node;  (* towards the MRU end *)
   mutable live : bool;
 }
 
@@ -81,15 +84,6 @@ module Heap = struct
     top
 end
 
-(* One tuple-space group per distinct mask vector: rules whose predicate
-   shares masks and masked values collide into a priority-sorted bucket,
-   so a lookup is one hash probe per group. *)
-type group = {
-  masks : int64 array;  (* per field *)
-  buckets : (int64 array, node list) Hashtbl.t;  (* priority order *)
-  mutable members : int;
-}
-
 type stats = {
   hits : int64;
   misses : int64;
@@ -102,17 +96,34 @@ type t = {
   cap : int;
   use_index : bool;
   by_id : (int, node) Hashtbl.t;
-  groups : (int64 array, group) Hashtbl.t;
-  mutable lru_head : node option;  (* least recently touched *)
-  mutable lru_tail : node option;  (* most recently touched *)
+  index : node Tss.t;  (* every live node, keyed by its rule *)
+  lru : node;
+      (* sentinel of the circular LRU list: [lru.next] is the least
+         recently touched node, [lru.prev] the most recent *)
   heap : Heap.t;
   mutable size : int;
-  mutable hits : int64;
-  mutable misses : int64;
-  mutable inserts : int64;
-  mutable evictions : int64;
-  mutable expirations : int64;
+  mutable hits : int;
+  mutable misses : int;
+  mutable inserts : int;
+  mutable evictions : int;
+  mutable expirations : int;
 }
+
+(* The LRU sentinel's entry: never matched, counted or expired. *)
+let no_entry =
+  {
+    rule = Rule.make ~id:(-1) ~priority:min_int (Pred.any Schema.tiny2) Action.Drop;
+    installed_at = 0.;
+    last_hit = 0.;
+    packets = 0;
+    bytes = 0;
+    idle_timeout = None;
+    hard_timeout = None;
+  }
+
+let sentinel () =
+  let rec s = { e = no_entry; hit = None; prev = s; next = s; live = false } in
+  s
 
 let make_tcam ~index ~capacity =
   if capacity < 0 then invalid_arg "Tcam.create: negative capacity";
@@ -120,16 +131,15 @@ let make_tcam ~index ~capacity =
     cap = capacity;
     use_index = index;
     by_id = Hashtbl.create 64;
-    groups = Hashtbl.create 16;
-    lru_head = None;
-    lru_tail = None;
+    index = Tss.create ();
+    lru = sentinel ();
     heap = Heap.create ();
     size = 0;
-    hits = 0L;
-    misses = 0L;
-    inserts = 0L;
-    evictions = 0L;
-    expirations = 0L;
+    hits = 0;
+    misses = 0;
+    inserts = 0;
+    evictions = 0;
+    expirations = 0;
   }
 
 let create ~capacity = make_tcam ~index:true ~capacity
@@ -142,95 +152,35 @@ let find t id = Option.map (fun n -> n.e) (Hashtbl.find_opt t.by_id id)
 let mem t id = Hashtbl.mem t.by_id id
 
 let fold_nodes t f acc =
-  let rec go acc = function None -> acc | Some n -> go (f acc n) n.next in
-  go acc t.lru_head
+  let rec go acc n = if n == t.lru then acc else go (f acc n) n.next in
+  go acc t.lru.next
 
-let entries t =
-  fold_nodes t (fun acc n -> n.e :: acc) []
-  |> List.sort (fun a b -> Rule.compare_priority a.rule b.rule)
+(* The index keeps its payloads in table order already. *)
+let entries t = List.map (fun n -> n.e) (Tss.to_list t.index)
 
 (* ---- LRU list ---- *)
 
-let lru_unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.lru_head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.lru_tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let lru_unlink n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
 
 let lru_append t n =
-  n.prev <- t.lru_tail;
-  n.next <- None;
-  (match t.lru_tail with Some p -> p.next <- Some n | None -> t.lru_head <- Some n);
-  t.lru_tail <- Some n
+  let last = t.lru.prev in
+  n.prev <- last;
+  n.next <- t.lru;
+  last.next <- n;
+  t.lru.prev <- n
 
 let lru_touch t n =
-  match n.next with
-  | None -> ()  (* already most recently used *)
-  | Some _ ->
-      lru_unlink t n;
-      lru_append t n
+  if n.next != t.lru then begin
+    lru_unlink n;
+    lru_append t n
+  end
 
 (* ---- tuple-space index ---- *)
 
-let mask_vector (r : Rule.t) =
-  Array.init (Pred.arity r.pred) (fun i -> Ternary.mask (Pred.field r.pred i))
-
-(* Ternary.value reads wildcard positions as 0, so a rule's value vector
-   is already its own masked key. *)
-let value_vector (r : Rule.t) =
-  Array.init (Pred.arity r.pred) (fun i -> Ternary.value (Pred.field r.pred i))
-
-let masked_key masks h =
-  Array.init (Array.length masks) (fun i -> Int64.logand masks.(i) (Header.field h i))
-
-let bucket_insert n bucket =
-  let rec go = function
-    | [] -> [ n ]
-    | x :: rest ->
-        if Rule.compare_priority n.e.rule x.e.rule <= 0 then n :: x :: rest
-        else x :: go rest
-  in
-  go bucket
-
-let index_add t n =
-  let mv = mask_vector n.e.rule in
-  let g =
-    match Hashtbl.find_opt t.groups mv with
-    | Some g -> g
-    | None ->
-        let g = { masks = mv; buckets = Hashtbl.create 8; members = 0 } in
-        Hashtbl.add t.groups mv g;
-        g
-  in
-  let key = value_vector n.e.rule in
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt g.buckets key) in
-  Hashtbl.replace g.buckets key (bucket_insert n bucket);
-  g.members <- g.members + 1
-
-let index_remove t n =
-  let mv = mask_vector n.e.rule in
-  match Hashtbl.find_opt t.groups mv with
-  | None -> ()
-  | Some g ->
-      let key = value_vector n.e.rule in
-      (match Hashtbl.find_opt g.buckets key with
-      | None -> ()
-      | Some bucket -> (
-          match List.filter (fun x -> x != n) bucket with
-          | [] -> Hashtbl.remove g.buckets key
-          | b -> Hashtbl.replace g.buckets key b));
-      g.members <- g.members - 1;
-      if g.members = 0 then Hashtbl.remove t.groups mv
-
-let index_groups t = Hashtbl.length t.groups
-
-(* A hash probe costs roughly as much as scanning a handful of rules;
-   with nearly one group per entry, tuple search only adds overhead. *)
-let index_degenerate t =
-  (not t.use_index)
-  ||
-  let g = Hashtbl.length t.groups in
-  g > 8 && 4 * g > 3 * t.size
+let index_groups t = Tss.groups t.index
+let index_degenerate t = (not t.use_index) || Tss.degenerate t.index
 
 (* ---- expiry deadlines ---- *)
 
@@ -250,15 +200,18 @@ let expired e ~now =
 let attach t n =
   Hashtbl.replace t.by_id n.e.rule.Rule.id n;
   lru_append t n;
-  index_add t n;
+  Tss.add t.index n.e.rule n;
   t.size <- t.size + 1;
   match deadline_of n.e with Some d -> Heap.push t.heap d n | None -> ()
 
 let detach t n =
   n.live <- false;
   Hashtbl.remove t.by_id n.e.rule.Rule.id;
-  lru_unlink t n;
-  index_remove t n;
+  lru_unlink n;
+  (* a heap record may still hold [n]: don't let it pin its neighbours *)
+  n.prev <- n;
+  n.next <- n;
+  ignore (Tss.remove t.index n.e.rule n);
   t.size <- t.size - 1
 
 (* ---- mutation ---- *)
@@ -268,13 +221,15 @@ let make_entry ?idle_timeout ?hard_timeout ~now rule =
     rule;
     installed_at = now;
     last_hit = now;
-    packets = 0L;
-    bytes = 0L;
+    packets = 0;
+    bytes = 0;
     idle_timeout;
     hard_timeout;
   }
 
-let make_node e = { e; prev = None; next = None; live = true }
+let make_node e =
+  let rec n = { e; hit = Some e.rule; prev = n; next = n; live = true } in
+  n
 
 let insert ?idle_timeout ?hard_timeout t ~now rule =
   let displaced =
@@ -287,19 +242,20 @@ let insert ?idle_timeout ?hard_timeout t ~now rule =
   if displaced = None && is_full t then `Full
   else begin
     attach t (make_node (make_entry ?idle_timeout ?hard_timeout ~now rule));
-    t.inserts <- Int64.add t.inserts 1L;
+    t.inserts <- t.inserts + 1;
     Telemetry.incr m_inserts;
     match displaced with Some e -> `Replaced e | None -> `Ok
   end
 
 let evict_lru t =
-  match t.lru_head with
-  | None -> None
-  | Some n ->
-      detach t n;
-      t.evictions <- Int64.add t.evictions 1L;
-      Telemetry.incr m_evictions;
-      Some n.e
+  let n = t.lru.next in
+  if n == t.lru then None
+  else begin
+    detach t n;
+    t.evictions <- t.evictions + 1;
+    Telemetry.incr m_evictions;
+    Some n.e
+  end
 
 type displaced = { evicted : entry list; replaced : entry option; bounced : bool }
 
@@ -340,9 +296,9 @@ let remove_where t f =
 let clear t =
   fold_nodes t (fun () n -> n.live <- false) ();
   Hashtbl.reset t.by_id;
-  Hashtbl.reset t.groups;
-  t.lru_head <- None;
-  t.lru_tail <- None;
+  Tss.clear t.index;
+  t.lru.prev <- t.lru;
+  t.lru.next <- t.lru;
   Heap.clear t.heap;
   t.size <- 0
 
@@ -368,7 +324,7 @@ let expire_entries t ~now =
   done;
   let gone = List.sort (fun a b -> Rule.compare_priority a.rule b.rule) !gone in
   let k = List.length gone in
-  t.expirations <- Int64.add t.expirations (Int64.of_int k);
+  t.expirations <- t.expirations + k;
   Telemetry.add m_expirations k;
   gone
 
@@ -376,6 +332,8 @@ let expire t ~now = List.map (fun e -> e.rule) (expire_entries t ~now)
 
 (* ---- lookup ---- *)
 
+(* The reference semantics ([create_linear]): every entry's predicate
+   tested field by field, best by table order. *)
 let best_match_linear t h =
   fold_nodes t
     (fun best n ->
@@ -386,41 +344,26 @@ let best_match_linear t h =
       else best)
     None
 
-let best_match_tss t h =
-  let best = ref None in
-  Hashtbl.iter
-    (fun _ g ->
-      match Hashtbl.find_opt g.buckets (masked_key g.masks h) with
-      | Some (n :: _) -> (
-          (* the bucket holds every entry whose predicate matches exactly
-             the headers with this masked key, best priority first *)
-          match !best with
-          | Some (b : node) when not (Rule.beats n.e.rule b.e.rule) -> ()
-          | _ -> best := Some n)
-      | _ -> ())
-    t.groups;
-  !best
-
-let best_match t h =
-  if index_degenerate t then best_match_linear t h else best_match_tss t h
-
 let lookup t ~now ?(bytes = 64) h =
-  match best_match t h with
+  match if t.use_index then Tss.find t.index h else best_match_linear t h with
   | Some n ->
       let e = n.e in
       e.last_hit <- now;
-      e.packets <- Int64.add e.packets 1L;
-      e.bytes <- Int64.add e.bytes (Int64.of_int bytes);
+      e.packets <- e.packets + 1;
+      e.bytes <- e.bytes + bytes;
       lru_touch t n;
-      t.hits <- Int64.add t.hits 1L;
+      t.hits <- t.hits + 1;
       Telemetry.incr m_hits;
-      Some e.rule
+      n.hit
   | None ->
-      t.misses <- Int64.add t.misses 1L;
+      t.misses <- t.misses + 1;
       Telemetry.incr m_misses;
       None
 
-let peek t h = Option.map (fun n -> n.e.rule) (best_match t h)
+let peek t h =
+  match if t.use_index then Tss.find t.index h else best_match_linear t h with
+  | Some n -> n.hit
+  | None -> None
 
 (* Liveness refresh without a hit: push the idle deadline forward and
    move the entry to MRU, but leave the hit/packet counters alone.  The
@@ -429,38 +372,37 @@ let peek t h = Option.map (fun n -> n.e.rule) (best_match t h)
    high-rank members alive (and LRU-adjacent) while any member of the
    group is absorbing traffic. *)
 let touch t ~now id =
-  match Hashtbl.find_opt t.by_id id with
-  | Some n ->
+  match Hashtbl.find t.by_id id with
+  | n ->
       n.e.last_hit <- now;
       lru_touch t n;
       true
-  | None -> false
+  | exception Not_found -> false
 
 (* ---- statistics ---- *)
 
 let stats t =
   {
-    hits = t.hits;
-    misses = t.misses;
-    inserts = t.inserts;
-    evictions = t.evictions;
-    expirations = t.expirations;
+    hits = Int64.of_int t.hits;
+    misses = Int64.of_int t.misses;
+    inserts = Int64.of_int t.inserts;
+    evictions = Int64.of_int t.evictions;
+    expirations = Int64.of_int t.expirations;
   }
 
 let reset_stats t =
-  t.hits <- 0L;
-  t.misses <- 0L;
-  t.inserts <- 0L;
-  t.evictions <- 0L;
-  t.expirations <- 0L
+  t.hits <- 0;
+  t.misses <- 0;
+  t.inserts <- 0;
+  t.evictions <- 0;
+  t.expirations <- 0
 
 let hit_rate t =
-  let total = Int64.add t.hits t.misses in
-  if Int64.equal total 0L then Float.nan
-  else Int64.to_float t.hits /. Int64.to_float total
+  let total = t.hits + t.misses in
+  if total = 0 then Float.nan else float_of_int t.hits /. float_of_int total
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>TCAM %d/%d@,%a@]" (occupancy t) t.cap
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf e ->
-         Format.fprintf ppf "%a (pkts=%Ld)" Rule.pp e.rule e.packets))
+         Format.fprintf ppf "%a (pkts=%d)" Rule.pp e.rule e.packets))
     (entries t)

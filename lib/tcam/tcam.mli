@@ -6,14 +6,19 @@
     is mutable (a switch's table is inherently stateful) but confined:
     all observation goes through the accessors below.
 
-    The per-packet path is sub-linear: entries are indexed by tuple space
-    search (Srinivasan et al.) — one hash group per distinct mask vector,
-    maintained incrementally across insert/remove/expire — so a lookup
-    costs one hash probe per distinct mask shape instead of a scan of the
-    whole bank.  On rule sets where nearly every entry has its own mask
-    vector the index degenerates to one probe per entry, so the table
-    falls back to a plain linear scan ({!index_degenerate}); semantics
-    are identical either way (property-tested).  Eviction keeps an
+    The per-packet path is sub-linear and allocation-free.  Entries are
+    indexed by tuple space search (Srinivasan et al.) through {!Tss},
+    maintained incrementally across insert/remove/expire: one hash group
+    per distinct mask vector, with every rule's masks and values packed
+    at insert into the same 63-bit int lanes as the header key
+    ({!Header.lanes}).  A group probe is one [land] per lane and an
+    int-keyed bucket lookup, and groups are probed in descending order of
+    the best priority they hold, so a lookup stops once its winner
+    outranks every remaining group.  On rule sets where nearly every
+    entry has its own mask vector the index degenerates to one probe per
+    entry, so the table falls back to a priority-ordered scan of the same
+    packed lanes ({!index_degenerate}); semantics are identical either
+    way (property-tested against {!create_linear}).  Eviction keeps an
     intrusive LRU list (O(1) per touch) and expiry a lazy min-heap on
     each entry's next deadline, so neither walks the bank.
 
@@ -26,8 +31,8 @@ type entry = {
   rule : Rule.t;
   installed_at : float;
   mutable last_hit : float;
-  mutable packets : int64;
-  mutable bytes : int64;
+  mutable packets : int;
+  mutable bytes : int;
   idle_timeout : float option;  (** evict after this much hit silence *)
   hard_timeout : float option;  (** evict this long after install *)
 }
@@ -38,9 +43,9 @@ val create : capacity:int -> t
 
 val create_linear : capacity:int -> t
 (** Like {!create} but with the tuple-space index disabled: every lookup
-    takes the linear-scan path — the reference semantics, kept for
-    benchmarking and differential testing; results are identical to an
-    indexed table's on any operation sequence. *)
+    tests each entry's predicate with {!Rule.matches} — the reference
+    semantics, kept for benchmarking and differential testing; results
+    are identical to an indexed table's on any operation sequence. *)
 
 val capacity : t -> int
 val occupancy : t -> int
@@ -60,9 +65,9 @@ val index_groups : t -> int
     probe count upper bound. *)
 
 val index_degenerate : t -> bool
-(** True when the index would currently fall back to the linear scan
-    (too many distinct mask vectors for tuple search to win, or the
-    index was disabled at {!create}). *)
+(** True when lookups currently scan instead of probing groups (too
+    many distinct mask vectors for tuple search to win — see
+    {!Tss.degenerate} — or the index was disabled by {!create_linear}). *)
 
 (** {1 Mutation} *)
 
@@ -119,7 +124,8 @@ val expire_entries : t -> now:float -> entry list
 val lookup : t -> now:float -> ?bytes:int -> Header.t -> Rule.t option
 (** Highest-priority matching entry; bumps its counters and [last_hit]
     and marks it most recently used.  [bytes] defaults to a 64-byte
-    minimum-size packet. *)
+    minimum-size packet.  On an indexed table (and without [~bytes]) it
+    allocates nothing, hit or miss. *)
 
 val peek : t -> Header.t -> Rule.t option
 (** Like [lookup] but with no statistics side effects. *)

@@ -1,5 +1,6 @@
-(* Tests for the extension layers: trace serialisation, the indexed
-   classifier, microflow cache mode, and flow-removed notifications. *)
+(* Tests for the extension layers: trace serialisation, the tuple-space
+   index over classifiers, microflow cache mode, and flow-removed
+   notifications. *)
 
 open Test_util
 
@@ -67,7 +68,7 @@ let test_trace_comments_blank () =
   | Ok flows -> check Alcotest.int "comments skipped" 25 (List.length flows)
   | Error e -> Alcotest.failf "parse failed: %s" e
 
-(* --- indexed classifier --- *)
+(* --- tuple-space index over a classifier --- *)
 
 let test_indexed_basics () =
   let c =
@@ -78,20 +79,20 @@ let test_indexed_basics () =
         (10, [], Action.Forward 2);
       ]
   in
-  let idx = Indexed.of_classifier c in
-  check Alcotest.int "length" 3 (Indexed.length idx);
-  check Alcotest.int "three mask groups" 3 (Indexed.groups idx);
+  let idx = Tss.of_classifier c in
+  check Alcotest.int "length" 3 (Tss.length idx);
+  check Alcotest.int "three mask groups" 3 (Tss.groups idx);
   let get f = Option.map (fun (r : Rule.t) -> r.id) (f (h 1 0)) in
   check (Alcotest.option Alcotest.int) "same winner" (get (Classifier.first_match c))
-    (get (Indexed.first_match idx))
+    (get (Tss.find idx))
 
 let test_indexed_tie_break () =
   let c =
     Classifier.of_specs s2
       [ (5, [ ("f1", "0000000x") ], Action.Forward 1); (5, [ ("f1", "0000000x") ], Action.Forward 2) ]
   in
-  let idx = Indexed.of_classifier c in
-  match Indexed.first_match idx (h 0 0) with
+  let idx = Tss.of_classifier c in
+  match Tss.find idx (h 0 0) with
   | Some r -> check Alcotest.int "lower id wins" 0 r.Rule.id
   | None -> Alcotest.fail "no match"
 
@@ -102,16 +103,16 @@ let test_indexed_adaptive () =
     Policy_gen.prefix_table (Prng.create 3)
       { Policy_gen.default_prefixes with prefixes = 500 }
   in
-  let pidx = Indexed.of_classifier prefixes in
-  check Alcotest.bool "prefix table keeps tuple search" false (Indexed.degenerate pidx);
-  check Alcotest.bool "one group per prefix length" true (Indexed.groups pidx <= 33);
+  let pidx = Tss.of_classifier prefixes in
+  check Alcotest.bool "prefix table keeps tuple search" false (Tss.degenerate pidx);
+  check Alcotest.bool "one group per prefix length" true (Tss.groups pidx <= 33);
   let acl = Policy_gen.acl (Prng.create 3) { Policy_gen.default_acl with rules = 200 } in
-  let aidx = Indexed.of_classifier acl in
-  check Alcotest.bool "acl falls back to scan" true (Indexed.degenerate aidx);
+  let aidx = Tss.of_classifier acl in
+  check Alcotest.bool "acl falls back to scan" true (Tss.degenerate aidx);
   (* semantics identical either way *)
   let h = (Traffic.headers_for (Prng.create 9) prefixes 1).(0) in
   check Alcotest.bool "same winner" true
-    (Option.map (fun (r : Rule.t) -> r.id) (Indexed.first_match pidx h)
+    (Option.map (fun (r : Rule.t) -> r.id) (Tss.find pidx h)
     = Option.map (fun (r : Rule.t) -> r.id) (Classifier.first_match prefixes h))
 
 let prop_indexed_equals_linear =
@@ -125,9 +126,9 @@ let prop_indexed_equals_linear =
         List.mapi (fun i (pr, pd) -> Rule.make ~id:i ~priority:pr pd Action.Drop) specs
       in
       let c = Classifier.create s2 rules in
-      let idx = Indexed.of_classifier c in
+      let idx = Tss.of_classifier c in
       let a = Option.map (fun (r : Rule.t) -> r.id) (Classifier.first_match c hdr) in
-      let b = Option.map (fun (r : Rule.t) -> r.id) (Indexed.first_match idx hdr) in
+      let b = Option.map (fun (r : Rule.t) -> r.id) (Tss.find idx hdr) in
       a = b)
 
 (* --- microflow cache mode --- *)

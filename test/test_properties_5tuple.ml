@@ -62,8 +62,8 @@ let prop_partition_semantics_5tuple =
 let prop_indexed_5tuple =
   qt ~count:30 "indexed lookup = linear on 5-tuple ACLs" gen_acl_and_header
     (fun (policy, h) ->
-      let idx = Indexed.of_classifier policy in
-      Option.map (fun (r : Rule.t) -> r.id) (Indexed.first_match idx h)
+      let idx = Tss.of_classifier policy in
+      Option.map (fun (r : Rule.t) -> r.id) (Tss.find idx h)
       = Option.map (fun (r : Rule.t) -> r.id) (Classifier.first_match policy h))
 
 let prop_deployment_5tuple =
