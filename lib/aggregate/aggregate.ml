@@ -206,21 +206,20 @@ let equivalent_live_cover sw (rule : Rule.t) (meta : Switch.cache_meta) =
       else None)
     (Tcam.entries (Switch.cache sw))
 
-let install ?idle_timeout ?hard_timeout t sw ~now installs =
-  (* Cover-set sharing: overlapping origins' cover sets carry the same
-     high-rank dependencies.  A member with an exactly-equivalent live
-     entry is not installed again — the existing entry's id is
-     substituted into this group's member list, so completeness checks
-     (Tcam membership) and warmth refresh (touch) flow through the
-     shared entry.  If the shared entry later goes, this group is
-     incomplete and [drop_cover_orphans] scrubs it — atomicity holds
-     across the sharing. *)
+(* Cover-set sharing: overlapping origins' cover sets carry the same
+   high-rank dependencies.  A member with an exactly-equivalent live
+   entry is not installed again — the existing entry's id is substituted
+   into this group's member list, so completeness checks (Tcam
+   membership) and warmth refresh (touch) flow through the shared entry.
+   If the shared entry later goes, this group is incomplete and
+   [drop_cover_orphans] scrubs it — atomicity holds across the
+   sharing. *)
+let share_covers t sw installs =
   let subst = Hashtbl.create 8 in
   let installs =
     List.filter
       (fun ((rule : Rule.t), (meta : Switch.cache_meta)) ->
-        (not t.config.enabled)
-        || meta.Switch.group = None
+        meta.Switch.group = None
         ||
         match equivalent_live_cover sw rule meta with
         | Some id ->
@@ -232,15 +231,16 @@ let install ?idle_timeout ?hard_timeout t sw ~now installs =
       installs
   in
   let remap id = Option.value ~default:id (Hashtbl.find_opt subst id) in
-  let installs =
-    List.map
-      (fun (rule, (meta : Switch.cache_meta)) ->
-        match meta.Switch.group with
-        | Some (gid, members) ->
-            (rule, { meta with Switch.group = Some (gid, List.map remap members) })
-        | None -> (rule, meta))
-      installs
-  in
+  List.map
+    (fun (rule, (meta : Switch.cache_meta)) ->
+      match meta.Switch.group with
+      | Some (gid, members) ->
+          (rule, { meta with Switch.group = Some (gid, List.map remap members) })
+      | None -> (rule, meta))
+    installs
+
+let install ?idle_timeout ?hard_timeout t sw ~now installs =
+  let installs = if t.config.enabled then share_covers t sw installs else installs in
   let evicted =
     List.concat_map (install_one ?idle_timeout ?hard_timeout t sw ~now) installs
   in

@@ -53,9 +53,29 @@ let g_peak = Telemetry.gauge "congestion_queue_peak"
    back into packets). *)
 type port = { mutable busy_until : float; mutable ser : float }
 
+(* Directed ports are keyed by one int, [from] in the high bits. *)
+module Ports = Hashtbl.Make (Int)
+
+let port_key ~from ~to_ = (from lsl 31) lor to_
+
+(* Working state of the hop loop.  An all-float record is
+   stored flat, so its writes box nothing: [at] is the current hop's
+   arrival time, [delay] the last forwarded hop's wait plus
+   serialization, and [start]/[elapsed]/[extra] the running state of a
+   [leg] walk. *)
+type clock = {
+  mutable at : float;
+  mutable delay : float;
+  mutable start : float;
+  mutable elapsed : float;
+  mutable extra : float;
+}
+
 type t = {
   cfg : config;
-  ports : (int * int, port) Hashtbl.t;
+  ports : port Ports.t;
+  clock : clock;
+  mutable marked : bool; (* the last forwarded hop was ECN-marked *)
   mutable transits : int;
   mutable drops : int;
   mutable marks : int;
@@ -66,19 +86,18 @@ type stats = { transits : int; drops : int; marks : int; peak_depth : int }
 
 let create cfg =
   validate cfg;
-  { cfg; ports = Hashtbl.create 32; transits = 0; drops = 0; marks = 0; peak_depth = 0 }
+  {
+    cfg;
+    ports = Ports.create 32;
+    clock = { at = 0.; delay = 0.; start = 0.; elapsed = 0.; extra = 0. };
+    marked = false;
+    transits = 0;
+    drops = 0;
+    marks = 0;
+    peak_depth = 0;
+  }
 
 let config t = t.cfg
-
-let port t key ~ser =
-  match Hashtbl.find_opt t.ports key with
-  | Some p ->
-      p.ser <- ser;
-      p
-  | None ->
-      let p = { busy_until = 0.; ser } in
-      Hashtbl.add t.ports key p;
-      p
 
 let other_end (l : Topology.link) from =
   if l.Topology.src = from then l.Topology.dst else l.Topology.src
@@ -89,25 +108,40 @@ let other_end (l : Topology.link) from =
    whole-or-partial serialization time is one queued packet — the same
    convention as [Server]: capacity counts the backlog, not the job in
    service. *)
-let queued ~wait ~ser =
+let[@inline] queued ~wait ~ser =
   if ser <= 0. || wait <= 0. then 0
   else max 0 (int_of_float (Float.ceil ((wait /. ser) -. 1e-9)) - 1)
 
 let depth t ~now ~from ~to_ =
-  match Hashtbl.find_opt t.ports (from, to_) with
-  | None -> 0
-  | Some p -> queued ~wait:(p.busy_until -. now) ~ser:p.ser
+  match Ports.find t.ports (port_key ~from ~to_) with
+  | exception Not_found -> 0
+  | p -> queued ~wait:(p.busy_until -. now) ~ser:p.ser
 
-let transit t ~now ~from (l : Topology.link) =
+(* One packet offered at [t.clock.at]: [true] and [t.clock.delay] /
+   [t.marked] set when forwarded, [false] when shed.  Time travels in
+   the clock rather than as an argument, which would be boxed. *)
+let transit_at t ~from (l : Topology.link) =
+  let now = t.clock.at in
   let to_ = other_end l from in
   let ser =
     if t.cfg.model_bandwidth then Topology.serialization_delay l ~bits:t.cfg.packet_bits
     else 0.
   in
-  let p = port t (from, to_) ~ser in
+  let p =
+    match Ports.find t.ports (port_key ~from ~to_) with
+    | p ->
+        p.ser <- ser;
+        p
+    | exception Not_found ->
+        let p = { busy_until = 0.; ser } in
+        Ports.add t.ports (port_key ~from ~to_) p;
+        p
+  in
   t.transits <- t.transits + 1;
   Telemetry.incr m_transits;
-  let wait = Float.max 0. (p.busy_until -. now) in
+  (* [if] rather than [Float.max], whose boxed float arguments and result
+     would allocate on every hop; times are never NaN *)
+  let wait = if p.busy_until -. now > 0. then p.busy_until -. now else 0. in
   let depth = queued ~wait ~ser in
   if depth > t.peak_depth then begin
     t.peak_depth <- depth;
@@ -118,7 +152,7 @@ let transit t ~now ~from (l : Topology.link) =
       t.drops <- t.drops + 1;
       Telemetry.incr m_drops;
       Ptrace.emit ~at:now Ptrace.Queue_drop ~switch:from ~rule:(-1) ~aux:depth;
-      `Drop
+      false
   | _ ->
       let marked =
         match t.cfg.ecn_threshold with
@@ -130,14 +164,53 @@ let transit t ~now ~from (l : Topology.link) =
         Telemetry.incr m_marks;
         Ptrace.emit ~at:now Ptrace.Ecn ~switch:from ~rule:(-1) ~aux:depth
       end;
-      p.busy_until <- Float.max now p.busy_until +. ser;
-      `Forward (wait +. ser, marked)
+      p.busy_until <- (if p.busy_until > now then p.busy_until else now) +. ser;
+      t.clock.delay <- wait +. ser;
+      t.marked <- marked;
+      true
+
+let transit t ~now ~from l =
+  t.clock.at <- now;
+  if transit_at t ~from l then `Forward (t.clock.delay, t.marked) else `Drop
+
+(* One hop of a [leg] walk, at the time the packet reaches it. *)
+let hop t topo u v =
+  match Topology.link_between topo u v with
+  | None -> invalid_arg "Congestion.leg: a shortest path crosses a missing link"
+  | Some l ->
+      let c = t.clock in
+      c.at <- c.start +. c.elapsed;
+      transit_at t ~from:u l
+      && begin
+           c.extra <- c.extra +. c.delay;
+           c.elapsed <- c.elapsed +. c.delay +. l.Topology.latency;
+           true
+         end
+
+(* Book [src]'s shortest path up to [v], first hop first: recurse to the
+   predecessor, then take the last hop.  The recursion is as deep as the
+   path is long and builds no path; a shed packet stops the walk. *)
+let rec book t topo ~src v =
+  v = src
+  ||
+  let u = Topology.predecessor topo ~src v in
+  book t topo ~src u && hop t topo u v
+
+let leg t topo ~now a b =
+  let c = t.clock in
+  c.start <- now;
+  c.elapsed <- 0.;
+  c.extra <- 0.;
+  (* no predecessor: [b] is unreachable from [a], so nothing to book *)
+  a = b || Topology.predecessor topo ~src:a b < 0 || book t topo ~src:a b
+
+let leg_delay t = t.clock.extra
 
 let stats (t : t) =
   { transits = t.transits; drops = t.drops; marks = t.marks; peak_depth = t.peak_depth }
 
 let reset t =
-  Hashtbl.reset t.ports;
+  Ports.reset t.ports;
   t.transits <- 0;
   t.drops <- 0;
   t.marks <- 0;

@@ -102,6 +102,23 @@ val transit :
     propagation latency is {e not} included, callers add [link.latency]
     themselves.  [`Drop] means the buffer was full (drop-tail). *)
 
+val leg : t -> Topology.t -> now:float -> int -> int -> bool
+(** [leg t topo ~now a b] offers one packet to every port of
+    {!Topology.shortest_path}[ topo a b] in path order, each hop at the
+    time the packet reaches it ([now] plus the earlier hops' queueing,
+    serialization and propagation), as {!transit} would one hop at a
+    time.  [true] when every port forwarded it — its total queueing
+    delay is then {!leg_delay}; [false] when a buffer shed it, leaving
+    the later hops untouched.  [a = b] or no path: [true], delay 0.
+    Builds no path list and no result variant.
+    @raise Invalid_argument if a path hop has no link — a broken
+    topology, never a packet-level event. *)
+
+val leg_delay : t -> float
+(** The queueing delay of the last {!leg} that returned [true]: the
+    sum of its hops' waits and serialization times, propagation
+    excluded. *)
+
 val depth : t -> now:float -> from:int -> to_:int -> int
 (** Packets currently queued on a directed port (0 for an unknown or
     drained port). *)

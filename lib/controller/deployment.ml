@@ -189,7 +189,7 @@ let resolve_authority d ?ingress h ~nominal =
       let reachable =
         List.filter (is_reachable d) (Assignment.replicas_of d.assignment pid)
       in
-      let dist a = Option.value ~default:infinity (Topology.distance d.topology from a) in
+      let dist a = Topology.latency d.topology from a in
       match reachable with
       | [] -> None
       | first :: rest ->
@@ -285,26 +285,22 @@ let controller_fallback ?(cause = `Failure) d ~now ~ingress h =
   { action; path; latency; cache_hit = false; authority = None;
     installed = Some rule; degraded = true }
 
-(* Pay the congestion model along a node path starting at [now]: book
-   each hop's egress port in arrival order.  Returns the queueing delay
-   to add on top of the path's propagation latency, or [`Queue_full] when
-   a finite buffer sheds the packet. *)
-let congested_leg cong topo ~now path =
+(* Pay the congestion model along the shortest path [a -> b] starting at
+   [now] ({!Congestion.leg}): the queueing delay to add on top of the
+   path's propagation latency, or [`Queue_full] when a finite buffer
+   sheds the packet. *)
+let congested_leg cong topo ~now a b =
   match cong with
   | None -> `Ok 0.
   | Some c ->
-      let rec go extra elapsed = function
-        | [] | [ _ ] -> `Ok extra
-        | a :: (b :: _ as rest) -> (
-            match Topology.link_between topo a b with
-            | None -> invalid_arg "Deployment: non-adjacent leg"
-            | Some l -> (
-                match Congestion.transit c ~now:(now +. elapsed) ~from:a l with
-                | `Drop -> `Queue_full
-                | `Forward (delay, _marked) ->
-                    go (extra +. delay) (elapsed +. delay +. l.Topology.latency) rest))
-      in
-      go 0. 0. path
+      if Congestion.leg c topo ~now a b then `Ok (Congestion.leg_delay c) else `Queue_full
+
+(* The delivery leg of an action decided at [from]: to its egress, or
+   nowhere for a drop. *)
+let congested_delivery cong topo ~now ~from action =
+  match Action.egress action with
+  | None -> `Ok 0.
+  | Some e -> congested_leg cong topo ~now from e
 
 (* Credit-mode backpressure signal for the walk-based plane: the shared
    pool bounds misses queued into the authority, so an ingress defers
@@ -356,7 +352,7 @@ let inject_impl ?pkt ~cong d ~now ~ingress h =
   match Switch.process sw ~now h with
   | Switch.Local (action, bank) -> (
       let path, latency = deliver d.topology ~from:ingress action in
-      match congested_leg cong d.topology ~now path with
+      match congested_delivery cong d.topology ~now ~from:ingress action with
       | `Queue_full -> queue_drop ~now ~ingress
       | `Ok extra ->
           emit_leg ~at:now path;
@@ -392,7 +388,7 @@ let inject_impl ?pkt ~cong d ~now ~ingress h =
             controller_fallback ~cause:`Backpressure d ~now ~ingress h
           end
           else
-          match congested_leg cong d.topology ~now p1 with
+          match congested_leg cong d.topology ~now ingress auth with
           | `Queue_full -> queue_drop ~now ~ingress
           | `Ok e1 -> (
           emit_leg ~at:now p1;
@@ -412,7 +408,7 @@ let inject_impl ?pkt ~cong d ~now ~ingress h =
                 (Aggregate.install ?idle_timeout:d.config.cache_idle_timeout
                    ?hard_timeout:d.config.cache_hard_timeout d.agg sw ~now installs);
               let p2, l2 = deliver d.topology ~from:auth action in
-              match congested_leg cong d.topology ~now:(now +. l1 +. e1) p2 with
+              match congested_delivery cong d.topology ~now:(now +. l1 +. e1) ~from:auth action with
               | `Queue_full -> queue_drop ~now ~ingress
               | `Ok e2 ->
                   emit_leg ~at:(now +. l1 +. e1) p2;

@@ -766,13 +766,14 @@ module A_splice = struct
         }
     in
     let rules = Classifier.rules policy in
+    let compiled = Splice.compile policy in
     (* Cost per cached flow: splicing installs 1 entry; dependent-set
        caching installs the rule's whole upward closure. *)
     let splice_costs =
       List.map (fun _ -> 1.) rules (* one spliced piece per cached flow *)
     in
     let dependent_costs =
-      List.map (fun r -> float_of_int (Splice.dependent_set_cost policy r)) rules
+      List.map (fun r -> float_of_int (Splice.dependent_set_cost compiled r)) rules
     in
     (* Worst-case splice fragmentation: pieces a single rule can shatter
        into if every piece ends up cached.  Catch-all rules overlapped by
@@ -790,7 +791,7 @@ module A_splice = struct
     let fragmentation =
       List.filter_map
         (fun r ->
-          if bounded_blockers r then Some (List.length (Splice.pieces_of_rule policy r))
+          if bounded_blockers r then Some (List.length (Splice.pieces_of_rule compiled r))
           else None)
         rules
     in

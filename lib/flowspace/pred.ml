@@ -107,7 +107,18 @@ let inter a b =
   in
   go 0
 
-let overlaps a b = Option.is_some (inter a b)
+(* A loop like [matches]: the splice walk tests every blocker against
+   the current piece, and building the intersection just to drop it
+   would allocate per test. *)
+let overlaps a b =
+  let fa = a.fields and fb = b.fields in
+  let n = Array.length fa in
+  let i = ref 0 in
+  while !i < n && Ternary.overlaps (Array.unsafe_get fa !i) (Array.unsafe_get fb !i) do
+    incr i
+  done;
+  !i = n
+
 let subsumes a b = Array.for_all2 Ternary.subsumes a.fields b.fields
 
 (* Exact-union merge of hyper-rectangles: all fields equal except one,
@@ -178,12 +189,28 @@ let diff_nonempty a bs =
   in
   go a bs
 
+(* The piece of [subtract a b] holding [h], built directly.  The pieces
+   for field [i] are exactly those inside [b] on every earlier field and
+   outside [b_i] on field [i], so [h]'s piece belongs to the first field
+   where [h] leaves [b]: earlier fields clipped to [b], field [i] the
+   holding piece of [a_i - b_i], later fields [a]'s own. *)
 let clip_to_holder a h b =
   if not (matches a h) then invalid_arg "Pred.clip_to_holder: header outside a";
   if matches b h then invalid_arg "Pred.clip_to_holder: header inside b";
-  match List.find_opt (fun q -> matches q h) (subtract a b) with
-  | Some q -> q
-  | None -> invalid_arg "Pred.clip_to_holder: no piece holds the header"
+  if not (overlaps a b) then a
+  else begin
+    let i = ref 0 in
+    while Ternary.matches b.fields.(!i) (Header.field h !i) do
+      incr i
+    done;
+    let i = !i in
+    let fields = Array.copy a.fields in
+    for j = 0 to i - 1 do
+      fields.(j) <- Option.get (Ternary.inter a.fields.(j) b.fields.(j))
+    done;
+    fields.(i) <- Ternary.subtract_holder a.fields.(i) b.fields.(i) (Header.field h i);
+    { a with fields }
+  end
 
 let split p fi bit =
   match Ternary.split p.fields.(fi) bit with

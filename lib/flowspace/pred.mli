@@ -58,6 +58,9 @@ val size_log2 : t -> int
 
 val inter : t -> t -> t option
 val overlaps : t -> t -> bool
+(** [overlaps a b] iff [inter a b <> None], decided field by field
+    without building the intersection (allocation-free). *)
+
 val subsumes : t -> t -> bool
 
 val buddy_union : t -> t -> t option
@@ -88,7 +91,9 @@ val diff_nonempty : t -> t list -> bool
 val clip_to_holder : t -> Header.t -> t -> t
 (** [clip_to_holder a h b]: given [Pred.matches a h] and
     [not (Pred.matches b h)], the disjoint piece of [a - b] that contains
-    [h].  One subtraction step of the splicing walk.
+    [h] — the element of {!subtract}[ a b] holding [h], built without
+    materialising the others.  One subtraction step of the splicing
+    walk.
     @raise Invalid_argument if the preconditions fail. *)
 
 val split : t -> int -> int -> (t * t) option

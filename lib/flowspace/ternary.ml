@@ -146,7 +146,9 @@ let inter a b =
   if (a.value ^: b.value) &: common <> 0L then None
   else Some { width = a.width; value = a.value |: b.value; mask = a.mask |: b.mask }
 
-let overlaps a b = Option.is_some (inter a b)
+let overlaps a b =
+  if a.width <> b.width then invalid_arg "Ternary.overlaps: width mismatch";
+  (a.value ^: b.value) &: (a.mask &: b.mask) = 0L
 
 (* Buddy merge: two values with the same mask whose specified bits differ
    in exactly one position denote adjacent blocks, and wildcarding that
@@ -191,6 +193,27 @@ let subtract a b =
           go (j - 1) (fixed_mask |: bitj) (fixed_value |: (b.value &: bitj)) (piece :: acc)
     in
     go (a.width - 1) 0L 0L []
+
+(* The piece of [subtract a b] holding [v], built directly.  [subtract]
+   emits one piece per free bit [j] (specified in [b], wildcard in [a]),
+   MSB first; piece [j] agrees with [b] on the free bits above [j] and
+   differs at [j].  So [v]'s piece is the one at the most significant
+   free bit where [v] differs from [b]: every free bit from there up is
+   fixed to [v]'s own bits. *)
+let subtract_holder a b v =
+  if a.width <> b.width then invalid_arg "Ternary.subtract_holder: width mismatch";
+  if not (matches a v) then invalid_arg "Ternary.subtract_holder: value outside a";
+  if matches b v then invalid_arg "Ternary.subtract_holder: value inside b";
+  if not (overlaps a b) then a
+  else
+    (* widths fit a native int, so the bit walk runs unboxed *)
+    let free = Int64.to_int (b.mask &: lnot64 a.mask) in
+    let top = ref (Int64.to_int (v ^: b.value) land free) in
+    while !top land (!top - 1) <> 0 do
+      top := !top land (!top - 1)
+    done;
+    let fixed = Int64.of_int (free land lnot (!top - 1)) in
+    { width = a.width; mask = a.mask |: fixed; value = a.value |: (v &: fixed) }
 
 let split t i =
   if i < 0 || i >= t.width then invalid_arg "Ternary.split: bit out of range";

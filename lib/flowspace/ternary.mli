@@ -102,7 +102,9 @@ val inter : t -> t -> t option
     ternary values is always itself ternary. *)
 
 val overlaps : t -> t -> bool
-(** [overlaps a b] iff [inter a b <> None]. *)
+(** [overlaps a b] iff [inter a b <> None], decided without building the
+    intersection (allocation-free).
+    @raise Invalid_argument on width mismatch. *)
 
 val subsumes : t -> t -> bool
 (** [subsumes a b] iff the set of [a] contains the set of [b]. *)
@@ -121,6 +123,12 @@ val subtract : t -> t -> t list
     union is exactly the set difference [a - b].  Returns [[a]] when the
     operands are disjoint and [[]] when [b] subsumes [a].  The list has at
     most [width a] elements. *)
+
+val subtract_holder : t -> t -> int64 -> t
+(** [subtract_holder a b v]: the element of [subtract a b] that contains
+    [v], built without materialising the others.  Requires [matches a v]
+    and [not (matches b v)]; [a] itself when [a] and [b] are disjoint.
+    @raise Invalid_argument if the preconditions fail. *)
 
 val split : t -> int -> (t * t) option
 (** [split t i] refines the wildcard at bit [i] into the two halves with

@@ -97,6 +97,7 @@ let keys_for kind classifier stream =
          interning goes through the piece's predicate rendering only once
          per distinct header. *)
       let memo : int Htbl.t = Htbl.create 1024 in
+      let compiled = Splice.compile classifier in
       let piece_tbl : (string, int) Hashtbl.t = Hashtbl.create 1024 in
       let origin_of_key : (int, int) Hashtbl.t = Hashtbl.create 1024 in
       (* piece key -> (pred, action): the merge inputs of the Aggregated
@@ -120,7 +121,7 @@ let keys_for kind classifier stream =
             | Some k -> k
             | None ->
                 let k =
-                  match Splice.for_header classifier h with
+                  match Splice.for_header compiled h with
                   | Some piece ->
                       intern
                         ~info:(piece.Splice.pred, piece.Splice.origin.Rule.action)

@@ -230,7 +230,9 @@ let deliver ?(was_miss = false) ~live acc engine ~is_first ~arrival ~extra_laten
     if was_miss then Fvec.push acc.miss_delays delay
   end
 
-let prop topo a b = Option.value ~default:0. (Topology.distance topo a b)
+let prop topo a b =
+  let d = Topology.latency topo a b in
+  if d = infinity then 0. else d
 
 let egress_latency topo ~from action =
   match Action.egress action with Some e -> prop topo from e | None -> 0.
@@ -352,32 +354,17 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
         r
   in
   (* Book the congestion model along the shortest path [a -> b] starting
-     at [now]: [`Ok extra] is queueing delay on top of propagation,
-     [`Queue_full] a drop-tail shed at some hop's port buffer. *)
-  let congested_path ~now a b =
-    match cong with
-    | None -> `Ok 0.
-    | Some c -> (
-        if a = b then `Ok 0.
-        else
-          match Topology.shortest_path topo a b with
-          | None -> `Ok 0.
-          | Some path ->
-              let rec go extra elapsed = function
-                | [] | [ _ ] -> `Ok extra
-                | x :: (y :: _ as rest) -> (
-                    match Topology.link_between topo x y with
-                    | None -> `Ok extra
-                    | Some l -> (
-                        match Congestion.transit c ~now:(now +. elapsed) ~from:x l with
-                        | `Drop -> `Queue_full
-                        | `Forward (delay, _marked) ->
-                            go (extra +. delay) (elapsed +. delay +. l.Topology.latency) rest))
-              in
-              go 0. 0. path)
+     at [now] ({!Congestion.leg}): [false] is a drop-tail shed at some
+     hop's port buffer; otherwise [queued ()] is the queueing delay on
+     top of propagation. *)
+  let cleared ~now a b =
+    match cong with None -> true | Some c -> Congestion.leg c topo ~now a b
   in
-  let deliver_leg ~now ~from action =
-    match Action.egress action with None -> `Ok 0. | Some e -> congested_path ~now from e
+  let queued () = match cong with None -> 0. | Some c -> Congestion.leg_delay c in
+  (* a dropped packet books nothing; its empty leg still resets the
+     delay [queued] reads *)
+  let delivered ~now ~from action =
+    cleared ~now from (match Action.egress action with Some e -> e | None -> from)
   in
   let flow_dropped ~is_first =
     if is_first then begin
@@ -450,21 +437,20 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
     | None -> ());
     let ingress_sw = Deployment.switch d flow.ingress in
     match Switch.process ingress_sw ~now flow.header with
-    | Switch.Local (action, bank) -> (
-        match deliver_leg ~now ~from:flow.ingress action with
-        | `Queue_full ->
-            Ptrace.emit ~at:now Ptrace.Drop ~switch:flow.ingress ~rule:(-1)
-              ~aux:Ptrace.drop_queue_full;
-            flow_dropped ~is_first
-        | `Ok extra ->
-            let lat = egress_latency topo ~from:flow.ingress action +. extra in
-            Ptrace.emit ~at:(now +. lat) Ptrace.Deliver
-              ~switch:
-                (match Action.egress action with Some e -> e | None -> flow.ingress)
-              ~rule:(-1)
-              ~aux:(if bank = Switch.Cache_bank then 1 else 0);
-            deliver ~live acc engine ~is_first ~arrival:now ~extra_latency:lat
-              ~cache_hit:(bank = Switch.Cache_bank))
+    | Switch.Local (action, bank) ->
+        if not (delivered ~now ~from:flow.ingress action) then begin
+          Ptrace.emit ~at:now Ptrace.Drop ~switch:flow.ingress ~rule:(-1)
+            ~aux:Ptrace.drop_queue_full;
+          flow_dropped ~is_first
+        end
+        else
+          let lat = egress_latency topo ~from:flow.ingress action +. queued () in
+          Ptrace.emit ~at:(now +. lat) Ptrace.Deliver
+            ~switch:(match Action.egress action with Some e -> e | None -> flow.ingress)
+            ~rule:(-1)
+            ~aux:(if bank = Switch.Cache_bank then 1 else 0);
+          deliver ~live acc engine ~is_first ~arrival:now ~extra_latency:lat
+            ~cache_hit:(bank = Switch.Cache_bank)
     | Switch.Unmatched ->
         Ptrace.emit ~at:now Ptrace.Drop ~switch:flow.ingress ~rule:(-1)
           ~aux:Ptrace.drop_unmatched;
@@ -488,14 +474,14 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
         else begin
         if credit_mode then decr (credit_for auth);
         let return_credit () = if credit_mode then incr (credit_for auth) in
-        match congested_path ~now flow.ingress auth with
-        | `Queue_full ->
-            return_credit ();
-            Ptrace.emit ~at:now Ptrace.Drop ~switch:flow.ingress ~rule:(-1)
-              ~aux:Ptrace.drop_queue_full;
-            flow_dropped ~is_first
-        | `Ok tunnel_extra ->
-        let tunnel_latency = prop topo flow.ingress auth +. tunnel_extra in
+        if not (cleared ~now flow.ingress auth) then begin
+          return_credit ();
+          Ptrace.emit ~at:now Ptrace.Drop ~switch:flow.ingress ~rule:(-1)
+            ~aux:Ptrace.drop_queue_full;
+          flow_dropped ~is_first
+        end
+        else
+        let tunnel_latency = prop topo flow.ingress auth +. queued () in
         (* the miss packet reaches the authority, then queues for a
            flow-setup slot *)
         Engine.after engine ~delay:tunnel_latency (fun () ->
@@ -541,21 +527,18 @@ let run_core ?(shard = 0) (cfg : Config.t) d flows =
                           Fvec.push acc.stretches
                             (Topology.stretch topo ~src:flow.ingress ~via:auth ~dst:e)
                       | None -> ());
-                      match deliver_leg ~now:(Engine.now engine) ~from:auth action with
-                      | `Queue_full ->
-                          Ptrace.emit ~at:(Engine.now engine) Ptrace.Drop ~switch:auth
-                            ~rule:(-1) ~aux:Ptrace.drop_queue_full;
-                          flow_dropped ~is_first
-                      | `Ok extra ->
-                          let lat = egress_latency topo ~from:auth action +. extra in
-                          Ptrace.emit ~at:(Engine.now engine +. lat) Ptrace.Deliver
-                            ~switch:
-                              (match Action.egress action with
-                              | Some e -> e
-                              | None -> auth)
-                            ~rule:(-1) ~aux:0;
-                          deliver ~was_miss:true ~live acc engine ~is_first
-                            ~arrival:flow.start ~extra_latency:lat ~cache_hit:false))
+                      if not (delivered ~now:(Engine.now engine) ~from:auth action) then begin
+                        Ptrace.emit ~at:(Engine.now engine) Ptrace.Drop ~switch:auth
+                          ~rule:(-1) ~aux:Ptrace.drop_queue_full;
+                        flow_dropped ~is_first
+                      end
+                      else
+                        let lat = egress_latency topo ~from:auth action +. queued () in
+                        Ptrace.emit ~at:(Engine.now engine +. lat) Ptrace.Deliver
+                          ~switch:(match Action.egress action with Some e -> e | None -> auth)
+                          ~rule:(-1) ~aux:0;
+                        deliver ~was_miss:true ~live acc engine ~is_first
+                          ~arrival:flow.start ~extra_latency:lat ~cache_hit:false))
             in
             if not accepted then begin
               return_credit ();

@@ -16,42 +16,76 @@ type piece = {
   pred : Pred.t;  (** the independent fragment containing the packet *)
 }
 
-val for_header : Classifier.t -> Header.t -> piece option
+(** {1 Compiled tables}
+
+    A partition table compiled once, where it is installed, so a miss
+    costs a tuple-space probe and a walk over the winner's own blockers
+    instead of linear passes over the whole table.  The compiled form
+    holds the table-order rule array, a rank per rule, and — computed on
+    each origin's first serve, then kept — its blocker list (the earlier
+    rules overlapping it) and its cover-set closure.  A table is
+    compiled afresh on each install, so policy churn recompiles only the
+    tables it replaces.  Not safe to share across domains: lazily filled
+    entries are written on first use. *)
+
+type t
+
+val compile : Classifier.t -> t
+(** Rule array, rank map and first-match index of a table; per-origin
+    blocker lists and closures are filled in on first use. *)
+
+val index : t -> Rule.t Tss.t
+(** The table's tuple-space first-match index — also what the
+    authority bank probes on the packet path. *)
+
+(** {1 Serving a miss}
+
+    Functions taking a rule require a rule {e of the compiled table}
+    (matched by id); @raise Invalid_argument otherwise, except
+    {!cache_priority}, which gives unknown origins the floor rank. *)
+
+val for_header : t -> Header.t -> piece option
 (** [for_header table h]: the independent piece of [table]'s winning rule
     that contains [h]; [None] when no rule matches.  The piece satisfies
     [Pred.matches piece.pred h] and overlaps no rule that beats
     [piece.origin]. *)
 
-val cache_priority : Classifier.t -> Rule.t -> int
+val cache_priority : t -> Rule.t -> int
 (** The cache-bank priority for rules spliced or covered from [origin] in
     this partition table: the origin's rank counted from the table's
-    bottom (last rule = 1, first = table length).  Explicit, dependency-
-    aware priorities replace the old "all cache rules share priority 0"
-    constant, whose hidden assumption — that cached rules never overlap —
-    the cover-set and aggregation machinery breaks on purpose: ranks make
-    any overlap between cached entries resolve exactly as the authority
-    table would.  Exact-match fallback entries keep priority 0, below
-    every rank. *)
+    bottom (last rule = 1, first = table length; 1 for a rule not in the
+    table).  Explicit, dependency-aware priorities replace the old "all
+    cache rules share priority 0" constant, whose hidden assumption —
+    that cached rules never overlap — the cover-set and aggregation
+    machinery breaks on purpose: ranks make any overlap between cached
+    entries resolve exactly as the authority table would.  Exact-match
+    fallback entries keep priority 0, below every rank. *)
 
-val cache_rule : next_id:(unit -> int) -> Classifier.t -> piece -> Rule.t
+val cache_rule : next_id:(unit -> int) -> t -> piece -> Rule.t
 (** Materialise a piece as an installable cache rule carrying the origin's
     action at {!cache_priority} of its origin. *)
 
-val cover_set : Classifier.t -> Rule.t -> Rule.t list
-(** [cover_set table r]: [r] plus the transitive closure of its direct
-    dependencies, in table order (best first) — the Infinite-CacheFlow
-    cover set.  Installing every member at its own {!cache_priority}
-    caches [r]'s {e whole} predicate safely: each member's overlap
-    structure is reproduced inside the cache, so the highest-priority
-    cached member matching a header is the rule the authority table would
-    pick.  Worth installing when {!dependent_set_cost} is small. *)
+val direct_dependencies : t -> Rule.t -> Rule.t list
+(** {!Classifier.direct_dependencies}, over the rule's cached blocker
+    list instead of the whole table. *)
 
-val pieces_of_rule : Classifier.t -> Rule.t -> Pred.t list
+val cover_set : t -> Rule.t -> Rule.t list
+(** [cover_set table r]: [r] plus the transitive closure of its direct
+    dependencies ({!Classifier.direct_dependencies}), in table order
+    (best first) — the Infinite-CacheFlow cover set.  Installing every
+    member at its own {!cache_priority} caches [r]'s {e whole} predicate
+    safely: each member's overlap structure is reproduced inside the
+    cache, so the highest-priority cached member matching a header is the
+    rule the authority table would pick.  Worth installing when
+    {!dependent_set_cost} is small. *)
+
+val pieces_of_rule : t -> Rule.t -> Pred.t list
 (** All independent pieces of one rule (its effective region as disjoint
     predicates) — used by the ablation bench to count worst-case cache
     cost per rule. *)
 
-val dependent_set_cost : Classifier.t -> Rule.t -> int
+val dependent_set_cost : t -> Rule.t -> int
 (** Size of the naive alternative: cache the rule plus every rule in its
-    transitive direct-dependency closure (the CacheFlow "dependent set").
-    The A-SPLICE ablation compares this against splicing. *)
+    transitive direct-dependency closure (the CacheFlow "dependent set")
+    — the length of {!cover_set}.  The A-SPLICE ablation compares this
+    against splicing. *)

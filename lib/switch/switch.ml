@@ -51,9 +51,10 @@ let meta_primary_origin m =
   match m.parts with p :: _ -> p.part_origin | [] -> -1
 
 (* An authority table as the packet path sees it: the partition, its
-   region packed for an allocation-free membership test, and a
-   tuple-space index over its clipped rules. *)
-type authority = { part : Partitioner.partition; region : Tss.pattern; index : Rule.t Tss.t }
+   region packed for an allocation-free membership test, and its clipped
+   rules compiled for serving misses (whose tuple-space index the packet
+   path probes too). *)
+type authority = { part : Partitioner.partition; region : Tss.pattern; splice : Splice.t }
 
 type t = {
   id : int;
@@ -99,6 +100,10 @@ type t = {
   mutable tunnelled : int;
   mutable unmatched : int;
   mutable misconfigured : int;
+  (* When [drop_cover_orphans] must scan (see there): *)
+  mutable scrub_due : bool; (* a grouped entry was installed since the last scan *)
+  mutable groups_resident : bool; (* the last scan left grouped entries behind *)
+  mutable scrubbed_at : int; (* [Tcam.departures] when the last scan began *)
   tele : tele;
 }
 
@@ -131,6 +136,9 @@ let create ~id ~cache_capacity =
     tunnelled = 0;
     unmatched = 0;
     misconfigured = 0;
+    scrub_due = false;
+    groups_resident = false;
+    scrubbed_at = 0;
     tele =
       {
         m_cache_hits = Telemetry.counter ~labels "switch_cache_hits";
@@ -176,10 +184,14 @@ let install_partition_rules t rules =
 let drop_authority t pid =
   t.authority <- List.filter (fun a -> a.part.Partitioner.pid <> pid) t.authority
 
+(* The one place a partition table enters a switch — initial install,
+   policy updates, splits and journal replay all come through here — so
+   this is where it is compiled for serving misses. *)
 let install_authority t (p : Partitioner.partition) =
   drop_authority t p.pid;
+  let splice = Splice.compile p.table in
   t.authority <-
-    { part = p; region = Tss.pattern p.region; index = Tss.of_classifier p.table } :: t.authority
+    { part = p; region = Tss.pattern p.region; splice } :: t.authority
 
 let authority_partitions t = List.map (fun a -> a.part) t.authority
 let partition_rules t = t.partition_bank
@@ -217,27 +229,46 @@ let notify_removed t ~now reason (e : Tcam.entry) =
    such removal — and after every install batch, whose evictions can
    break a group mid-install — the survivors of any incomplete group are
    scrubbed.  They report [Replaced] like other displacement paths; the
-   next miss simply re-serves. *)
+   next miss simply re-serves.
+
+   A group can only become incomplete when one of its members leaves the
+   table or when it is installed (a member may bounce or be absorbed),
+   so the table-order scan runs only after a grouped install, or after
+   any departure while the last scan left grouped entries resident.
+   Otherwise it would find nothing, and the call returns at once.  The
+   departure mark is taken before the scan's own removals: a scrubbed
+   entry shared into another group breaks that group too, and the next
+   call must see it, as an unconditional scan would. *)
 let drop_cover_orphans t ~now =
-  let doomed =
-    List.filter
+  let departures = Tcam.departures t.cache in
+  if not (t.scrub_due || (t.groups_resident && departures <> t.scrubbed_at)) then 0
+  else begin
+    let grouped = ref 0 in
+    let doomed =
+      List.filter
+        (fun (e : Tcam.entry) ->
+          match Hashtbl.find_opt t.cache_origin e.Tcam.rule.Rule.id with
+          | Some { group = Some (_, members); _ } ->
+              incr grouped;
+              not (List.for_all (Tcam.mem t.cache) members)
+          | _ -> false)
+        (Tcam.entries t.cache)
+    in
+    List.iter
       (fun (e : Tcam.entry) ->
-        match Hashtbl.find_opt t.cache_origin e.Tcam.rule.Rule.id with
-        | Some { group = Some (_, members); _ } ->
-            not (List.for_all (Tcam.mem t.cache) members)
-        | _ -> false)
-      (Tcam.entries t.cache)
-  in
-  List.iter
-    (fun (e : Tcam.entry) ->
-      Ptrace.emit_control ~at:now Ptrace.Invalidate ~switch:t.id
-        ~rule:e.Tcam.rule.Rule.id ~aux:Ptrace.invalidate_cover_orphan;
-      notify_removed t ~now Message.Replaced e;
-      ignore (Tcam.remove t.cache e.Tcam.rule.Rule.id);
-      Hashtbl.remove t.cache_origin e.Tcam.rule.Rule.id)
-    doomed;
-  if doomed <> [] then sync_occupancy t;
-  List.length doomed
+        Ptrace.emit_control ~at:now Ptrace.Invalidate ~switch:t.id
+          ~rule:e.Tcam.rule.Rule.id ~aux:Ptrace.invalidate_cover_orphan;
+        notify_removed t ~now Message.Replaced e;
+        ignore (Tcam.remove t.cache e.Tcam.rule.Rule.id);
+        Hashtbl.remove t.cache_origin e.Tcam.rule.Rule.id)
+      doomed;
+    let n = List.length doomed in
+    if n > 0 then sync_occupancy t;
+    t.scrub_due <- false;
+    t.groups_resident <- !grouped > n;
+    t.scrubbed_at <- departures;
+    n
+  end
 
 let apply_flow_mod t ~now (fm : Message.flow_mod) =
   match (fm.bank, fm.command) with
@@ -394,7 +425,7 @@ let rec authority_lookup h = function
   | [] -> None
   | a :: rest -> (
       if not (Tss.covers a.region h) then authority_lookup h rest
-      else match Tss.find a.index h with Some _ as r -> r | None -> authority_lookup h rest)
+      else match Tss.find (Splice.index a.splice) h with Some _ as r -> r | None -> authority_lookup h rest)
 
 (* Which origin's region did a packet hitting a (possibly merged) cache
    entry actually fall in?  Single-part metas — the overwhelmingly common
@@ -479,11 +510,17 @@ let exact_pred schema h =
     (List.init (Schema.arity schema) (fun i ->
          Ternary.exact ~width:(Schema.field_bits schema i) (Header.field h i)))
 
+(* The first table, most recent install first, whose region holds the
+   header — whether or not it has a rule for it. *)
+let rec covering_authority h = function
+  | [] -> None
+  | a :: rest -> if Tss.covers a.region h then Some a else covering_authority h rest
+
 let serve_miss ?(mode = `Spliced) ?cover_limit t ~now h =
-  match List.find_opt (fun a -> Tss.covers a.region h) t.authority with
+  match covering_authority h t.authority with
   | None -> None
-  | Some { part = p; _ } -> (
-      match Splice.for_header p.table h with
+  | Some { part = p; splice; _ } -> (
+      match Splice.for_header splice h with
       | None -> None
       | Some piece ->
           (* the authority switch forwards this packet itself: count it
@@ -505,7 +542,7 @@ let serve_miss ?(mode = `Spliced) ?cover_limit t ~now h =
             { part_origin = r.id; part_rank = rank; part_pred = r.pred }
           in
           let fragment () =
-            let r = Splice.cache_rule ~next_id p.table piece in
+            let r = Splice.cache_rule ~next_id splice piece in
             ( r,
               [ (r, { pid; kind = Fragment; group = None;
                       parts = [ { (part_of piece.origin r.Rule.priority) with
@@ -516,7 +553,7 @@ let serve_miss ?(mode = `Spliced) ?cover_limit t ~now h =
             | `Spliced -> (
                 match cover_limit with
                 | Some limit
-                  when Splice.dependent_set_cost p.table piece.origin <= limit ->
+                  when Splice.dependent_set_cost splice piece.origin <= limit ->
                     (* the whole dependency closure fits the budget:
                        install the rule and its covers at their ranks
                        instead of a per-packet clipped fragment — broader
@@ -525,11 +562,11 @@ let serve_miss ?(mode = `Spliced) ?cover_limit t ~now h =
                     let members =
                       List.map
                         (fun (r : Rule.t) ->
-                          let rank = Splice.cache_priority p.table r in
+                          let rank = Splice.cache_priority splice r in
                           ( Rule.make ~id:(next_id ()) ~priority:rank r.pred
                               r.action,
                             r, rank ))
-                        (Splice.cover_set p.table piece.origin)
+                        (Splice.cover_set splice piece.origin)
                     in
                     (* one atomic group per serve, tagged with every
                        member's cache-rule id: if any member is later
@@ -582,6 +619,11 @@ let serve_miss ?(mode = `Spliced) ?cover_limit t ~now h =
 
 
 let install_cache_meta ?idle_timeout ?hard_timeout t ~now rule meta =
+  (match meta with
+  | Some { group = Some _; _ } ->
+      t.scrub_due <- true;
+      t.groups_resident <- true
+  | _ -> ());
   let d = Tcam.insert_or_evict_entries ?idle_timeout ?hard_timeout t.cache ~now rule in
   List.iter
     (fun (e : Tcam.entry) ->
@@ -733,6 +775,9 @@ let reset t =
   t.tunnelled <- 0;
   t.unmatched <- 0;
   t.misconfigured <- 0;
+  t.scrub_due <- false;
+  t.groups_resident <- false;
+  t.scrubbed_at <- Tcam.departures t.cache;
   sync_occupancy t
 
 let fresh_cache_id t =

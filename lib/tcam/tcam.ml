@@ -107,6 +107,7 @@ type t = {
   mutable inserts : int;
   mutable evictions : int;
   mutable expirations : int;
+  mutable departures : int; (* entries that ever left, by any path *)
 }
 
 (* The LRU sentinel's entry: never matched, counted or expired. *)
@@ -140,6 +141,7 @@ let make_tcam ~index ~capacity =
     inserts = 0;
     evictions = 0;
     expirations = 0;
+    departures = 0;
   }
 
 let create ~capacity = make_tcam ~index:true ~capacity
@@ -150,6 +152,7 @@ let occupancy t = t.size
 let is_full t = t.size >= t.cap
 let find t id = Option.map (fun n -> n.e) (Hashtbl.find_opt t.by_id id)
 let mem t id = Hashtbl.mem t.by_id id
+let departures t = t.departures
 
 let fold_nodes t f acc =
   let rec go acc n = if n == t.lru then acc else go (f acc n) n.next in
@@ -212,7 +215,8 @@ let detach t n =
   n.prev <- n;
   n.next <- n;
   ignore (Tss.remove t.index n.e.rule n);
-  t.size <- t.size - 1
+  t.size <- t.size - 1;
+  t.departures <- t.departures + 1
 
 (* ---- mutation ---- *)
 
@@ -300,6 +304,7 @@ let clear t =
   t.lru.prev <- t.lru;
   t.lru.next <- t.lru;
   Heap.clear t.heap;
+  t.departures <- t.departures + t.size;
   t.size <- 0
 
 let expire_entries t ~now =

@@ -58,6 +58,11 @@ val find : t -> int -> entry option
 
 val mem : t -> int -> bool
 
+val departures : t -> int
+(** Entries that have left the table since it was created, by any path
+    (eviction, expiry, removal, replacement, {!clear}).  A change in this
+    count is how a caller learns, in O(1), that some entry may be gone. *)
+
 (** {1 Index introspection} *)
 
 val index_groups : t -> int

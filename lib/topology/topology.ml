@@ -1,37 +1,15 @@
 type link = { src : int; dst : int; latency : float; bandwidth : float }
 
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   n : int;
   links : link list;
   adj : (int * link) list array; (* neighbour, connecting link *)
+  between : link option Itbl.t; (* [a * n + b] -> the link, pre-wrapped *)
+  dist : float array array; (* [dist.(src).(v)]: shortest-path latency *)
+  prev : int array array; (* [prev.(src).(v)]: [v]'s parent in [src]'s tree, -1 at roots *)
 }
-
-let create ~nodes links =
-  if nodes < 1 then invalid_arg "Topology.create: need at least one node";
-  let adj = Array.make nodes [] in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun l ->
-      if l.src < 0 || l.src >= nodes || l.dst < 0 || l.dst >= nodes then
-        invalid_arg "Topology.create: endpoint out of range";
-      if l.src = l.dst then invalid_arg "Topology.create: self loop";
-      if not (l.bandwidth > 0.) then
-        invalid_arg "Topology.create: nonpositive bandwidth";
-      let key = (min l.src l.dst, max l.src l.dst) in
-      if Hashtbl.mem seen key then invalid_arg "Topology.create: duplicate link";
-      Hashtbl.add seen key ();
-      adj.(l.src) <- (l.dst, l) :: adj.(l.src);
-      adj.(l.dst) <- (l.src, l) :: adj.(l.dst))
-    links;
-  { n = nodes; links; adj }
-
-let nodes t = t.n
-let links t = t.links
-let degree t v = List.length t.adj.(v)
-let neighbors t v = List.map fst t.adj.(v)
-
-let link_between t a b =
-  List.find_opt (fun (v, _) -> v = b) t.adj.(a) |> Option.map snd
 
 (* Dijkstra over latency with a simple leftist-ish pairing via sorted
    list insertion; fine for the network sizes simulated here. *)
@@ -53,10 +31,9 @@ module Pq = struct
         Some (p, v)
 end
 
-let dijkstra t src =
-  if src < 0 || src >= t.n then invalid_arg "Topology: node out of range";
-  let dist = Array.make t.n infinity in
-  let prev = Array.make t.n (-1) in
+let dijkstra n adj src =
+  let dist = Array.make n infinity in
+  let prev = Array.make n (-1) in
   dist.(src) <- 0.;
   let q = Pq.create () in
   Pq.push q 0. src;
@@ -73,26 +50,74 @@ let dijkstra t src =
                 prev.(v) <- u;
                 Pq.push q nd v
               end)
-            t.adj.(u);
+            adj.(u);
         loop ()
   in
   loop ();
   (dist, prev)
 
-let all_distances t src = fst (dijkstra t src)
+(* Every source's shortest-path tree is computed here, once: path,
+   distance and stretch queries are then table reads, and a [t] is never
+   written after construction, so domains can share it freely. *)
+let create ~nodes links =
+  if nodes < 1 then invalid_arg "Topology.create: need at least one node";
+  let adj = Array.make nodes [] in
+  let between = Itbl.create (2 * List.length links) in
+  List.iter
+    (fun l ->
+      if l.src < 0 || l.src >= nodes || l.dst < 0 || l.dst >= nodes then
+        invalid_arg "Topology.create: endpoint out of range";
+      if l.src = l.dst then invalid_arg "Topology.create: self loop";
+      if not (l.bandwidth > 0.) then
+        invalid_arg "Topology.create: nonpositive bandwidth";
+      if Itbl.mem between ((l.src * nodes) + l.dst) then
+        invalid_arg "Topology.create: duplicate link";
+      Itbl.add between ((l.src * nodes) + l.dst) (Some l);
+      Itbl.add between ((l.dst * nodes) + l.src) (Some l);
+      adj.(l.src) <- (l.dst, l) :: adj.(l.src);
+      adj.(l.dst) <- (l.src, l) :: adj.(l.dst))
+    links;
+  let trees = Array.init nodes (dijkstra nodes adj) in
+  { n = nodes; links; adj; between; dist = Array.map fst trees; prev = Array.map snd trees }
+
+let nodes t = t.n
+let links t = t.links
+let degree t v = List.length t.adj.(v)
+let neighbors t v = List.map fst t.adj.(v)
+
+let check_node t v = if v < 0 || v >= t.n then invalid_arg "Topology: node out of range"
+
+let link_between t a b =
+  check_node t a;
+  if b < 0 || b >= t.n then None
+  else match Itbl.find t.between ((a * t.n) + b) with l -> l | exception Not_found -> None
+
+let all_distances t src =
+  check_node t src;
+  Array.copy t.dist.(src)
+
+let latency t src dst =
+  check_node t src;
+  check_node t dst;
+  t.dist.(src).(dst)
+
+let predecessor t ~src v =
+  check_node t src;
+  check_node t v;
+  t.prev.(src).(v)
 
 let shortest_path t src dst =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Topology: node out of range";
   if src = dst then Some [ src ]
   else
-    let dist, prev = dijkstra t src in
-    if dist.(dst) = infinity then None
+    let prev = t.prev.(src) in
+    if t.dist.(src).(dst) = infinity then None
     else
       let rec build acc v = if v = src then src :: acc else build (v :: acc) prev.(v) in
       Some (build [] dst)
 
-let serialization_delay (l : link) ~bits =
+let[@inline] serialization_delay (l : link) ~bits =
   if bits < 0 then invalid_arg "Topology.serialization_delay: negative bits";
   float_of_int bits /. l.bandwidth
 
@@ -107,23 +132,25 @@ let path_latency t path =
   go 0. path
 
 let distance t src dst =
-  if dst < 0 || dst >= t.n then invalid_arg "Topology: node out of range";
-  let d = (all_distances t src).(dst) in
+  let d = latency t src dst in
   if d = infinity then None else Some d
 
-let hop_count t src dst = Option.map (fun p -> List.length p - 1) (shortest_path t src dst)
+let hop_count t src dst =
+  if latency t src dst = infinity then None
+  else
+    let prev = t.prev.(src) in
+    let rec hops n v = if v = src then n else hops (n + 1) prev.(v) in
+    Some (hops 0 dst)
 
-let is_connected t =
-  let dist = all_distances t 0 in
-  Array.for_all (fun d -> d < infinity) dist
+let is_connected t = Array.for_all (fun d -> d < infinity) t.dist.(0)
 
 let stretch t ~src ~via ~dst =
   if src = dst then 1.0
   else
-    match (distance t src via, distance t via dst, distance t src dst) with
-    | Some a, Some b, Some c when c > 0. -> (a +. b) /. c
-    | Some _, Some _, Some _ -> 1.0
-    | _ -> infinity
+    let a = latency t src via and b = latency t via dst and c = latency t src dst in
+    if a = infinity || b = infinity || c = infinity then infinity
+    else if c > 0. then (a +. b) /. c
+    else 1.0
 
 (* ---- generators ---- *)
 

@@ -27,9 +27,17 @@ val links : t -> link list
 val degree : t -> int -> int
 val neighbors : t -> int -> int list
 val link_between : t -> int -> int -> link option
+(** The link joining two nodes, if any — an O(1) lookup returning a
+    pre-wrapped option (allocation-free). *)
+
 val is_connected : t -> bool
 
-(** {1 Paths} *)
+(** {1 Paths}
+
+    Every source's shortest-path tree (Dijkstra over latency) is computed
+    once, by {!create}; the queries below read it.  The trees depend
+    only on the link list, so a topology is immutable after construction
+    and safe to share across domains. *)
 
 val shortest_path : t -> int -> int -> int list option
 (** Minimum-latency path as a node list including both endpoints;
@@ -42,11 +50,20 @@ val path_latency : t -> int list -> float
 val distance : t -> int -> int -> float option
 (** Latency of the shortest path. *)
 
+val latency : t -> int -> int -> float
+(** [distance] without the option: [infinity] when unreachable. *)
+
+val predecessor : t -> src:int -> int -> int
+(** The node just before [v] on {!shortest_path}[ src v]; [-1] when
+    [v = src] or [v] is unreachable.  Following it from the destination
+    back to [src] walks that path without building it. *)
+
 val hop_count : t -> int -> int -> int option
 (** Hops (links) on the minimum-latency path. *)
 
 val all_distances : t -> int -> float array
-(** Single-source latencies; [infinity] where unreachable. *)
+(** Single-source latencies; [infinity] where unreachable.  A fresh
+    copy: mutating it changes nothing in [t]. *)
 
 val stretch : t -> src:int -> via:int -> dst:int -> float
 (** [distance src via + distance via dst) / distance src dst] — the paper's

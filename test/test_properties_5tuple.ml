@@ -35,7 +35,7 @@ let prop_splice_correct_5tuple =
   qt ~count:60 "splice on 5-tuple: piece holds header, independent, same action"
     gen_acl_and_header
     (fun (policy, h) ->
-      match Splice.for_header policy h with
+      match Splice.for_header (Splice.compile policy) h with
       | None -> false
       | Some piece ->
           Pred.matches piece.Splice.pred h

@@ -14,9 +14,11 @@ let chained =
       (0, [], Action.Drop);
     ]
 
+let compiled = Splice.compile chained
+
 let test_piece_contains_header () =
   let hdr = h 2 0 in
-  match Splice.for_header chained hdr with
+  match Splice.for_header compiled hdr with
   | None -> Alcotest.fail "no piece"
   | Some piece ->
       check Alcotest.bool "contains header" true (Pred.matches piece.pred hdr);
@@ -25,7 +27,7 @@ let test_piece_contains_header () =
 let test_piece_is_independent () =
   (* The spliced piece of the broad accept must avoid f1=1 (drop rule) and
      the f2>=128 slice (forward-9 rule). *)
-  match Splice.for_header chained (h 2 0) with
+  match Splice.for_header compiled (h 2 0) with
   | None -> Alcotest.fail "no piece"
   | Some piece ->
       check Alcotest.bool "avoids top drop" false (Pred.matches piece.pred (h 1 0));
@@ -38,25 +40,25 @@ let test_piece_is_independent () =
         (Pred.enumerate ~limit:64 piece.pred)
 
 let test_cache_rule () =
-  let piece = Option.get (Splice.for_header chained (h 2 0)) in
+  let piece = Option.get (Splice.for_header compiled (h 2 0)) in
   let counter = ref 100 in
   let next_id () = incr counter; !counter in
-  let r = Splice.cache_rule ~next_id chained piece in
+  let r = Splice.cache_rule ~next_id compiled piece in
   check Alcotest.int "fresh id" 101 r.Rule.id;
   check action "origin action" (Action.Forward 1) r.Rule.action;
   check pred "piece pred" piece.pred r.Rule.pred;
   (* the cache priority is the origin's bottom-up table rank *)
-  check Alcotest.int "rank priority" (Splice.cache_priority chained piece.origin)
+  check Alcotest.int "rank priority" (Splice.cache_priority compiled piece.origin)
     r.Rule.priority;
   check Alcotest.int "broad accept ranks 2nd from bottom" 2 r.Rule.priority
 
 let test_no_match () =
   let partial = Classifier.of_specs s2 [ (1, [ ("f1", "00000001") ], Action.Drop) ] in
-  check Alcotest.bool "none" true (Option.is_none (Splice.for_header partial (h 2 0)))
+  check Alcotest.bool "none" true (Option.is_none (Splice.for_header (Splice.compile partial) (h 2 0)))
 
 let test_pieces_of_rule () =
   let broad = Option.get (Classifier.find chained 2) in
-  let pieces = Splice.pieces_of_rule chained broad in
+  let pieces = Splice.pieces_of_rule compiled broad in
   check Alcotest.bool "several pieces" true (List.length pieces >= 2);
   (* pieces are disjoint and none overlaps a higher-priority rule *)
   let rec disjoint = function
@@ -73,9 +75,9 @@ let test_pieces_of_rule () =
 let test_dependent_set_cost () =
   (* caching the broad accept the naive way drags in both rules above it *)
   let broad = Option.get (Classifier.find chained 2) in
-  check Alcotest.int "dependent set" 3 (Splice.dependent_set_cost chained broad);
+  check Alcotest.int "dependent set" 3 (Splice.dependent_set_cost compiled broad);
   let top = Option.get (Classifier.find chained 0) in
-  check Alcotest.int "top rule independent" 1 (Splice.dependent_set_cost chained top)
+  check Alcotest.int "top rule independent" 1 (Splice.dependent_set_cost compiled top)
 
 (* --- properties: the DIFANE independence invariant --- *)
 
@@ -97,7 +99,7 @@ let prop_piece_semantics =
   qt "every header of a spliced piece gets the origin action"
     QCheck2.Gen.(pair gen_chain_policy gen_header_tiny2)
     (fun (c, hdr) ->
-      match Splice.for_header c hdr with
+      match Splice.for_header (Splice.compile c) hdr with
       | None -> false (* policy is total *)
       | Some piece ->
           List.for_all
@@ -111,7 +113,7 @@ let prop_piece_independent =
   qt "spliced piece overlaps no higher-priority rule"
     QCheck2.Gen.(pair gen_chain_policy gen_header_tiny2)
     (fun (c, hdr) ->
-      match Splice.for_header c hdr with
+      match Splice.for_header (Splice.compile c) hdr with
       | None -> false
       | Some piece ->
           List.for_all
@@ -126,7 +128,7 @@ let prop_pieces_cover_effective_region =
       match List.nth_opt (Classifier.rules c) (idx mod Classifier.length c) with
       | None -> true
       | Some r ->
-          let pieces = Splice.pieces_of_rule c r in
+          let pieces = Splice.pieces_of_rule (Splice.compile c) r in
           let in_pieces = List.exists (fun p -> Pred.matches p hdr) pieces in
           in_pieces = Region.matches (Classifier.effective_region c r) hdr)
 
