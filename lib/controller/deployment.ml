@@ -462,25 +462,7 @@ let update_policy ?(flush = true) d ~now new_policy =
   d'
 
 let invalidate_origins ?(now = 0.) d ~origins =
-  Array.fold_left
-    (fun acc sw ->
-      let cache = Switch.cache sw in
-      let victims =
-        List.filter
-          (fun (e : Tcam.entry) ->
-            (* a merged entry stands for several policy rules: it must go
-               if ANY of its absorbed origins changed — the conservative
-               direction; survivors re-splice on their next miss *)
-            List.exists origins
-              (Switch.origins_of_cache_rule sw e.Tcam.rule.Rule.id))
-          (Tcam.entries cache)
-      in
-      List.iter (fun (e : Tcam.entry) -> ignore (Tcam.remove cache e.Tcam.rule.Rule.id)) victims;
-      (* removing one cover-set member must take its whole group: the
-         broad member alone would answer packets its dependencies own *)
-      let orphans = Switch.drop_cover_orphans sw ~now in
-      acc + List.length victims + orphans)
-    0 d.switches
+  Array.fold_left (fun acc sw -> acc + Switch.invalidate_origins sw ~now origins) 0 d.switches
 
 let changed_rule_ids ~old_policy new_policy =
   let ids c = List.map (fun (r : Rule.t) -> r.id) (Classifier.rules c) in

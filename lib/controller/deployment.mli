@@ -160,7 +160,9 @@ val invalidate_origins : ?now:float -> t -> origins:(int -> bool) -> int
     cover-set members scrubbed because their group lost a member — see
     {!Switch.drop_cover_orphans}).  The targeted-invalidation
     consistency mode: after a policy change only the affected rules'
-    cache entries need to go. *)
+    cache entries need to go.  Each switch does it through
+    {!Switch.invalidate_origins}: entries leave silently and their
+    provenance goes with them. *)
 
 val changed_rule_ids : old_policy:Classifier.t -> Classifier.t -> int list
 (** Rule ids whose definition differs between two policies (changed

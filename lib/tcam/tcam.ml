@@ -107,7 +107,12 @@ type t = {
   mutable inserts : int;
   mutable evictions : int;
   mutable expirations : int;
+  mutable arrivals : int; (* entries that ever entered *)
   mutable departures : int; (* entries that ever left, by any path *)
+  mutable log : int array;
+      (* departed rule ids, a ring indexed by [departures]; empty until
+         [track_departures] *)
+  mutable log_from : int; (* [departures] when logging began *)
 }
 
 (* The LRU sentinel's entry: never matched, counted or expired. *)
@@ -141,7 +146,10 @@ let make_tcam ~index ~capacity =
     inserts = 0;
     evictions = 0;
     expirations = 0;
+    arrivals = 0;
     departures = 0;
+    log = [||];
+    log_from = 0;
   }
 
 let create ~capacity = make_tcam ~index:true ~capacity
@@ -152,14 +160,45 @@ let occupancy t = t.size
 let is_full t = t.size >= t.cap
 let find t id = Option.map (fun n -> n.e) (Hashtbl.find_opt t.by_id id)
 let mem t id = Hashtbl.mem t.by_id id
+
+let arrivals t = t.arrivals
 let departures t = t.departures
+
+(* ---- departure log ---- *)
+
+let departure_log_size = 256
+
+let track_departures t =
+  if Array.length t.log = 0 then begin
+    t.log <- Array.make departure_log_size 0;
+    t.log_from <- t.departures
+  end
+
+let log_departure t id =
+  if Array.length t.log > 0 then
+    Array.unsafe_set t.log (t.departures land (departure_log_size - 1)) id
+
+let departed_since t mark f =
+  if Array.length t.log = 0 || mark < t.log_from
+     || t.departures - mark > departure_log_size
+  then false
+  else begin
+    for i = mark to t.departures - 1 do
+      f (Array.unsafe_get t.log (i land (departure_log_size - 1)))
+    done;
+    true
+  end
 
 let fold_nodes t f acc =
   let rec go acc n = if n == t.lru then acc else go (f acc n) n.next in
   go acc t.lru.next
 
 (* The index keeps its payloads in table order already. *)
-let entries t = List.map (fun n -> n.e) (Tss.to_list t.index)
+let fold f t init = Tss.fold (fun n acc -> f n.e acc) t.index init
+let entries t = fold List.cons t []
+let iter_with_pred t p f = Tss.iter_with_pred t.index p (fun n -> f n.e)
+let iter_buddies t p f = Tss.iter_buddies t.index p (fun n -> f n.e)
+let iter_subsuming ?min_priority t p f = Tss.iter_subsuming ?min_priority t.index p (fun n -> f n.e)
 
 (* ---- LRU list ---- *)
 
@@ -205,6 +244,7 @@ let attach t n =
   lru_append t n;
   Tss.add t.index n.e.rule n;
   t.size <- t.size + 1;
+  t.arrivals <- t.arrivals + 1;
   match deadline_of n.e with Some d -> Heap.push t.heap d n | None -> ()
 
 let detach t n =
@@ -216,6 +256,7 @@ let detach t n =
   n.next <- n;
   ignore (Tss.remove t.index n.e.rule n);
   t.size <- t.size - 1;
+  log_departure t n.e.rule.Rule.id;
   t.departures <- t.departures + 1
 
 (* ---- mutation ---- *)
@@ -298,13 +339,17 @@ let remove_where t f =
   List.length victims
 
 let clear t =
-  fold_nodes t (fun () n -> n.live <- false) ();
+  fold_nodes t
+    (fun () n ->
+      n.live <- false;
+      log_departure t n.e.rule.Rule.id;
+      t.departures <- t.departures + 1)
+    ();
   Hashtbl.reset t.by_id;
   Tss.clear t.index;
   t.lru.prev <- t.lru;
   t.lru.next <- t.lru;
   Heap.clear t.heap;
-  t.departures <- t.departures + t.size;
   t.size <- 0
 
 let expire_entries t ~now =

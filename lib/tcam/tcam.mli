@@ -53,15 +53,47 @@ val is_full : t -> bool
 val entries : t -> entry list
 (** In table (priority) order. *)
 
+val fold : (entry -> 'acc -> 'acc) -> t -> 'acc -> 'acc
+(** [fold f t init] is [f e1 (f e2 (... (f en init)))] over the entries
+    in table order, so consing builds a table-ordered list; no
+    intermediate list.  The table must not be modified during the fold. *)
+
+val iter_with_pred : t -> Pred.t -> (entry -> unit) -> unit
+val iter_buddies : t -> Pred.t -> (entry -> unit) -> unit
+
+val iter_subsuming : ?min_priority:int -> t -> Pred.t -> (entry -> unit) -> unit
+(** The entries whose predicate equals, is a buddy of ({!Pred.buddy_union})
+    or subsumes (at priority [min_priority] or above) a given predicate,
+    found through the tuple-space index without walking the table
+    ({!Tss.iter_with_pred} and siblings).  Order is unspecified; the
+    table must not be modified during a walk. *)
+
 val find : t -> int -> entry option
 (** Entry by rule id. *)
 
 val mem : t -> int -> bool
 
+val arrivals : t -> int
+(** Entries that have entered the table since it was created (a
+    same-id replacement counts as a departure and an arrival). *)
+
 val departures : t -> int
 (** Entries that have left the table since it was created, by any path
     (eviction, expiry, removal, replacement, {!clear}).  A change in this
     count is how a caller learns, in O(1), that some entry may be gone. *)
+
+val track_departures : t -> unit
+(** Start recording the rule id of every departure in a bounded ring of
+    the most recent 256 (idempotent).  The ring is fed where
+    {!departures} is counted, so it misses no removal path. *)
+
+val departed_since : t -> int -> (int -> unit) -> bool
+(** [departed_since t mark f], where [mark] is an earlier reading of
+    {!departures}: call [f] on the id of every entry that left since
+    then, oldest first, and return [true].  Returns [false] without
+    calling [f] when the log cannot say — tracking is off or began after
+    [mark], or more entries left than the ring holds — and the caller
+    must fall back to looking at the whole table. *)
 
 (** {1 Index introspection} *)
 
