@@ -356,7 +356,7 @@ let prop_orphan_scrub =
                   { Message.command = Message.Delete; bank = Message.Cache; rule;
                     idle_timeout = None; hard_timeout = None }
             | None -> ())
-        | 7 -> Option.iter (fun id -> ignore (Switch.absorb_cache_rule sw ~now id)) (pick ())
+        | 7 -> Option.iter (fun id -> ignore (Switch.retire_cache_rule sw ~now Switch.Absorbed id)) (pick ())
         | 8 ->
             (* a group born incomplete: one member never installed *)
             let id = Switch.fresh_cache_id sw in
